@@ -186,22 +186,7 @@ def _curve_values(cfg: RunConfig) -> List[float]:
 
 def _cmd_play(args: argparse.Namespace, cfg: RunConfig) -> str:
     game_cfg = cfg.game.game_config()
-    allocator = cfg.player("allocator")
-    recipient = cfg.player("recipient")
-    if args.offer is not None:
-        from .game import Outcome, Split, accepts, realized_utility
-
-        offered = game_cfg.snap(args.offer)
-        accepted = accepts(recipient, game_cfg, offered)
-        own = 1.0 - offered
-        pay_a, pay_r = (own, offered) if accepted else (0.0, 0.0)
-        outcome = Outcome(
-            Split(own), accepted, pay_a, pay_r,
-            realized_utility(allocator, game_cfg, pay_a, pay_r),
-            realized_utility(recipient, game_cfg, pay_r, pay_a),
-        )
-    else:
-        outcome = play(allocator, recipient, game_cfg)
+    outcome = play(cfg.player("allocator"), cfg.player("recipient"), game_cfg, offer=args.offer)
     record = {
         k: (round(v, 6) if isinstance(v, float) else v)
         for k, v in outcome.to_record().items()

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .identity import PARTNER_ID, FairnessKind, FairnessMode, SenseOfSelf, effective_tau
+from .identity import PARTNER_ID, FairnessKind, FairnessMode, SenseOfSelf, effective_tau, weight
 from .payoff import PayoffLens
-from .utility import Split, baseline_ug_utility, fair_ug_utility
+from .utility import Split, ug_kernel
 
 log = logging.getLogger(__name__)
 
@@ -48,8 +49,10 @@ class GameConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.grid_step <= 0.5:
             raise ConfigError(f"grid_step must lie in (0, 0.5], got {self.grid_step}")
-        if not self.tolerance > 0.0:
-            raise ConfigError(f"tolerance must be > 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
+            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if not math.isfinite(self.accept_threshold):
+            raise ConfigError(f"accept_threshold must be finite, got {self.accept_threshold}")
         cells = 1.0 / self.grid_step
         if abs(cells - round(cells)) > self.tolerance * round(cells):
             raise ConfigError(f"grid_step {self.grid_step} does not divide 1 evenly")
@@ -70,6 +73,10 @@ class GameConfig:
         if abs(snapped - share) > self.tolerance:
             log.warning("off-grid share %g snapped to %g", share, snapped)
         return snapped
+
+    def clears(self, utility: float) -> bool:
+        """Whether a utility clears the acceptance threshold."""
+        return utility >= self.accept_threshold - self.tolerance
 
 
 @dataclass(frozen=True)
@@ -109,15 +116,27 @@ class Outcome:
         }
 
 
+Utility = Callable[[float, float], float]
+
+
+def compile_player(player: PlayerSpec, cfg: GameConfig) -> Utility:
+    """The player's utility over a realized (own, partner) payoff pair.
+
+    Weight, thresholds and lens are resolved here, once per player, so
+    scans evaluate only the formula.
+    """
+    w = weight(player.sense.gamma, player.sense.partner_distance)
+    kind = player.mode.kind
+    if kind is FairnessKind.BASELINE:
+        return ug_kernel(w)
+    tau = effective_tau(player.sense, player.mode, PARTNER_ID)
+    own_tau = 0.0 if (cfg.own_tau_zero and kind is FairnessKind.ASSOCIATION) else tau
+    return ug_kernel(w, player.lens, tau, own_tau)
+
+
 def realized_utility(player: PlayerSpec, cfg: GameConfig, own: float, partner: float) -> float:
     """Utility of a realized payoff pair through the player's own mode and lens."""
-    gamma = player.sense.gamma
-    d = player.sense.partner_distance
-    if player.mode.kind is FairnessKind.BASELINE:
-        return baseline_ug_utility(gamma, d, own, partner)
-    tau = effective_tau(player.sense, player.mode, PARTNER_ID)
-    own_tau = 0.0 if (cfg.own_tau_zero and player.mode.kind is FairnessKind.ASSOCIATION) else None
-    return fair_ug_utility(gamma, d, tau, player.lens, own, partner, own_tau=own_tau)
+    return compile_player(player, cfg)(own, partner)
 
 
 def utility_of_split(player: PlayerSpec, cfg: GameConfig, own: float) -> float:
@@ -135,18 +154,33 @@ def _break_ties(candidates: List[float], rule: TieBreak) -> float:
     return min(candidates, key=lambda s: (abs(s - 0.5), s))
 
 
+class Scan(NamedTuple):
+    """A utility evaluated over a grid of own shares."""
+
+    utilities: List[float]
+    top: float  # the largest utility
+    best: float  # utility-maximizing share, ties broken per config
+    min_acceptable: Optional[float]  # first share whose utility clears the threshold
+
+
+def scan(utility: Utility, cfg: GameConfig, grid: Sequence[float]) -> Scan:
+    """Evaluate a compiled utility at each own share of a non-empty grid."""
+    utilities = [utility(s, 1.0 - s) for s in grid]
+    top = max(utilities)
+    ties = [s for s, u in zip(grid, utilities) if u >= top - cfg.tolerance]
+    min_acc = next((s for s, u in zip(grid, utilities) if cfg.clears(u)), None)
+    return Scan(utilities, top, _break_ties(ties, cfg.tie_break), min_acc)
+
+
 def best_split(player: PlayerSpec, cfg: GameConfig) -> Tuple[Split, float]:
     """Utility-maximizing own share over the split grid, ties broken per config."""
-    grid = cfg.splits()
-    utilities = [utility_of_split(player, cfg, s) for s in grid]
-    top = max(utilities)
-    candidates = [s for s, u in zip(grid, utilities) if u >= top - cfg.tolerance]
-    return Split(_break_ties(candidates, cfg.tie_break)), top
+    result = scan(compile_player(player, cfg), cfg, cfg.splits())
+    return Split(result.best), result.top
 
 
 def accepts(player: PlayerSpec, cfg: GameConfig, offered: float) -> bool:
     """Whether the recipient accepts the offered share."""
-    return utility_of_split(player, cfg, offered) >= cfg.accept_threshold - cfg.tolerance
+    return cfg.clears(utility_of_split(player, cfg, offered))
 
 
 def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Optional[Split]:
@@ -156,17 +190,29 @@ def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Optional[Split]
     are U-shaped); this is the locus where the utility first clears the
     acceptance threshold.
     """
-    for s in cfg.splits():
-        if accepts(player, cfg, s):
-            return Split(s)
-    return None
+    share = scan(compile_player(player, cfg), cfg, cfg.splits()).min_acceptable
+    return None if share is None else Split(share)
 
 
-def play(allocator: PlayerSpec, recipient: PlayerSpec, cfg: GameConfig) -> Outcome:
-    """One full game: proposal, response, and realized utilities."""
-    proposal, _ = best_split(allocator, cfg)
-    offered = proposal.partner_share
-    accepted = accepts(recipient, cfg, offered)
+def play(
+    allocator: PlayerSpec, recipient: PlayerSpec, cfg: GameConfig, offer: Optional[float] = None
+) -> Outcome:
+    """One full game: proposal, response, and realized utilities.
+
+    Given an ``offer`` (the recipient's share, snapped to the grid), the
+    allocator's proposal is that offer instead of its best split.
+    """
+    u_alloc = compile_player(allocator, cfg)
+    u_recip = compile_player(recipient, cfg)
+    if offer is None:
+        proposal = Split(scan(u_alloc, cfg, cfg.splits()).best)
+        offered = proposal.partner_share
+    else:
+        if not 0.0 <= offer <= 1.0:
+            raise ConfigError(f"offer must be a finite share in [0,1], got {offer}")
+        offered = cfg.snap(offer)
+        proposal = Split(1.0 - offered)
+    accepted = cfg.clears(u_recip(offered, 1.0 - offered))
     if accepted:
         pay_alloc, pay_recip = proposal.own_share, offered
     else:
@@ -176,6 +222,6 @@ def play(allocator: PlayerSpec, recipient: PlayerSpec, cfg: GameConfig) -> Outco
         accepted=accepted,
         payoff_allocator=pay_alloc,
         payoff_recipient=pay_recip,
-        util_allocator=realized_utility(allocator, cfg, pay_alloc, pay_recip),
-        util_recipient=realized_utility(recipient, cfg, pay_recip, pay_alloc),
+        util_allocator=u_alloc(pay_alloc, pay_recip),
+        util_recipient=u_recip(pay_recip, pay_alloc),
     )

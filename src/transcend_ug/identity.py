@@ -24,21 +24,14 @@ class IdentityError(ValueError):
 
 @dataclass(frozen=True)
 class Aspect:
-    """One element of an identity set.
-
-    ``fixed_tau`` is reserved for per-aspect threshold overrides; no
-    shipped operation consults it.
-    """
+    """One element of an identity set."""
 
     id: str
     distance: float
-    fixed_tau: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.distance) and self.distance >= 0.0):
             raise IdentityError(f"aspect {self.id!r}: distance must be >= 0, got {self.distance}")
-        if self.fixed_tau is not None and not 0.0 <= self.fixed_tau <= 1.0:
-            raise IdentityError(f"aspect {self.id!r}: fixed_tau must lie in [0,1], got {self.fixed_tau}")
 
 
 @dataclass(frozen=True)
@@ -112,12 +105,14 @@ class FairnessMode:
         return cls(FairnessKind.ASSOCIATION)
 
 
+def weight(gamma: float, d: float) -> float:
+    """Attenuation weight gamma**d of a payoff at distance d, with 0**0 taken as 1."""
+    return 1.0 if d == 0.0 else gamma ** d
+
+
 def attenuation(sense: SenseOfSelf, aspect_id: str) -> float:
-    """Weight gamma**d of an aspect's payoff, with 0**0 taken as 1."""
-    d = sense.aspect(aspect_id).distance
-    if d == 0.0:
-        return 1.0
-    return sense.gamma ** d
+    """Weight of an aspect's payoff in the agent's identity."""
+    return weight(sense.gamma, sense.aspect(aspect_id).distance)
 
 
 def effective_tau(sense: SenseOfSelf, mode: FairnessMode, aspect_id: str) -> float:
@@ -127,10 +122,10 @@ def effective_tau(sense: SenseOfSelf, mode: FairnessMode, aspect_id: str) -> flo
     agent-based modes use the fixed trait regardless of aspect;
     association-based modes use 1 - gamma**d.
     """
-    sense.aspect(aspect_id)  # raises on unknown aspect
+    d = sense.aspect(aspect_id).distance  # raises on unknown aspect
     if mode.kind is FairnessKind.BASELINE:
         return 0.0
     if mode.kind is FairnessKind.AGENT_TAU:
         assert mode.tau is not None
         return mode.tau
-    return 1.0 - attenuation(sense, aspect_id)
+    return 1.0 - weight(sense.gamma, d)

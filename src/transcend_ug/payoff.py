@@ -44,13 +44,13 @@ class PayoffLens:
 
     def __post_init__(self) -> None:
         if self.family is LensFamily.EXP_VALUE:
-            if not self.loss_aversion > 1.0:
+            if not (math.isfinite(self.loss_aversion) and self.loss_aversion > 1.0):
                 raise LensConfigError(
-                    f"loss_aversion must be > 1 for exp_value lens, got {self.loss_aversion}"
+                    f"loss_aversion must be finite and > 1 for exp_value lens, got {self.loss_aversion}"
                 )
-            if not self.steepness > 0.0:
+            if not (math.isfinite(self.steepness) and self.steepness > 0.0):
                 raise LensConfigError(
-                    f"steepness must be > 0 for exp_value lens, got {self.steepness}"
+                    f"steepness must be finite and > 0 for exp_value lens, got {self.steepness}"
                 )
 
 

@@ -1,25 +1,18 @@
 """Parameter sweeps over the game engine.
 
 Regenerates the published curve families, acceptance matrices, threshold
-curves, and settled-game grids as plain tabular data. Cells are
-independent; evaluation may be parallel, but rows are always emitted in
-ascending coordinate order so the output bytes never depend on the
-thread count.
+curves, and settled-game grids as plain tabular data. Every cell is
+computed by the game engine; rows are emitted in ascending coordinate
+order.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from .game import GameConfig, PlayerSpec, _break_ties, utility_of_split
-from .identity import PARTNER_ID, Aspect, FairnessKind, FairnessMode
-
-T = TypeVar("T")
-U = TypeVar("U")
-
-THREADS_ENV = "TRANSCEND_UG_THREADS"
+from .game import GameConfig, PlayerSpec, accepts, compile_player, play, scan
+from .identity import PARTNER_ID, Aspect, FairnessKind, FairnessMode, weight
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -40,33 +33,13 @@ def axis_values(lo: float, hi: float, step: float, tolerance: float = 1e-9) -> L
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SweepError(f"{THREADS_ENV} must be an integer, got {raw!r}")
-    if n < 0:
-        raise SweepError(f"{THREADS_ENV} must be >= 0, got {n}")
-    return n or (os.cpu_count() or 1)
-
-
-def _map(fn: Callable[[T], U], items: Sequence[T]) -> List[U]:
-    """Order-preserving map, threaded when TRANSCEND_UG_THREADS allows."""
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
     """Copy of a player spec with one of {gamma, d, tau} replaced."""
     if name == "gamma":
         return replace(spec, sense=replace(spec.sense, gamma=value))
     if name == "d":
         aspects = tuple(
-            Aspect(a.id, value, a.fixed_tau) if a.id == PARTNER_ID else a
+            Aspect(a.id, value) if a.id == PARTNER_ID else a
             for a in spec.sense.aspects
         )
         return replace(spec, sense=replace(spec.sense, aspects=aspects))
@@ -94,32 +67,24 @@ def utility_curves(
     if curve_param not in ("d", "gamma", "tau"):
         raise SweepError(f"curve parameter must be one of d, gamma, tau; got {curve_param!r}")
     grid = list(splits) if splits is not None else cfg.splits()
-    if not grid:
-        raise SweepError("empty split axis")
+    if not grid or not all(0.0 <= s <= 1.0 for s in grid):
+        raise SweepError("split axis must be non-empty and lie in [0,1]")
 
     def one_curve(value: float) -> List[Dict[str, object]]:
-        player = with_param(base, curve_param, value)
-        utilities = [utility_of_split(player, cfg, s) for s in grid]
-        top = max(utilities)
-        ties = [s for s, u in zip(grid, utilities) if u >= top - cfg.tolerance]
-        best = _break_ties(ties, cfg.tie_break)
-        min_acc = next(
-            (s for s, u in zip(grid, utilities) if u >= cfg.accept_threshold - cfg.tolerance),
-            None,
-        )
+        result = scan(compile_player(with_param(base, curve_param, value), cfg), cfg, grid)
         return [
             {
                 "curve_param": curve_param,
                 "curve_value": value,
                 "split": s,
                 "utility": u,
-                "is_best_split": int(s == best),
-                "is_min_acceptable": int(min_acc is not None and s == min_acc),
+                "is_best_split": int(s == result.best),
+                "is_min_acceptable": int(s == result.min_acceptable),
             }
-            for s, u in zip(grid, utilities)
+            for s, u in zip(grid, result.utilities)
         ]
 
-    curves = _map(one_curve, list(curve_values))
+    curves = [one_curve(value) for value in curve_values]
     rows = [row for curve in curves for row in curve]
     for name, agg in ((ENVELOPE_MIN, min), (ENVELOPE_MAX, max)):
         for i, s in enumerate(grid):
@@ -148,26 +113,23 @@ def acceptance_matrix(
 
     def one_row(d: float) -> List[Dict[str, object]]:
         player = with_param(recipient, "d", d)
-        return [
-            {
-                "d": d,
-                "split": s,
-                "accepted": int(
-                    utility_of_split(player, cfg, s) >= cfg.accept_threshold - cfg.tolerance
-                ),
-            }
-            for s in sorted(splits)
-        ]
+        return [{"d": d, "split": s, "accepted": int(accepts(player, cfg, s))} for s in sorted(splits)]
 
-    return [cell for row in _map(one_row, sorted(d_values)) for cell in row]
+    return [cell for d in sorted(d_values) for cell in one_row(d)]
 
 
 def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[str, object]]:
     """Association-derived threshold 1 - gamma**d per (gamma, distance)."""
     if not gammas or not d_values:
         raise SweepError("tau-curve axes must be non-empty")
+    for g in gammas:
+        if not 0.0 <= g <= 1.0:
+            raise SweepError(f"tau-curve gamma must lie in [0,1], got {g}")
+    for d in d_values:
+        if not (math.isfinite(d) and d >= 0.0):
+            raise SweepError(f"tau-curve distance must be finite and >= 0, got {d}")
     return [
-        {"gamma": g, "d": d, "tau": 1.0 - (1.0 if d == 0.0 else g ** d)}
+        {"gamma": g, "d": d, "tau": 1.0 - weight(g, d)}
         for g in sorted(gammas)
         for d in sorted(d_values)
     ]
@@ -184,7 +146,6 @@ def game_grid(
 
     Axis names take the form ``allocator.gamma`` or ``recipient.d``.
     """
-    from .game import play  # local import keeps module deps one-way
 
     def apply(alloc: PlayerSpec, recip: PlayerSpec, name: str, value: float):
         role, _, param = name.partition(".")
@@ -212,4 +173,4 @@ def game_grid(
             "accepted": int(outcome.accepted),
         }
 
-    return _map(one_cell, cells)
+    return [one_cell(vv) for vv in cells]

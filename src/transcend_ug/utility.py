@@ -8,9 +8,9 @@ perceived-payoff lens before weighting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Callable, Mapping, Optional
 
-from .identity import IdentityError, SenseOfSelf, attenuation
+from .identity import IdentityError, SenseOfSelf, attenuation, weight
 from .payoff import PayoffLens, perceived_payoff
 
 
@@ -27,11 +27,6 @@ class Split:
     @property
     def partner_share(self) -> float:
         return 1.0 - self.own_share
-
-
-def _weight(gamma: float, d: float) -> float:
-    # gamma**0 == 1 for every gamma, including 0
-    return 1.0 if d == 0.0 else gamma ** d
 
 
 def ct_utility(sense: SenseOfSelf, payoffs: Mapping[str, float]) -> float:
@@ -52,10 +47,26 @@ def ct_utility(sense: SenseOfSelf, payoffs: Mapping[str, float]) -> float:
     return num / den
 
 
+def ug_kernel(
+    w: float, lens: Optional[PayoffLens] = None, tau: float = 0.0, own_tau: float = 0.0
+) -> Callable[[float, float], float]:
+    """Two-player utility over a realized (own, partner) payoff pair.
+
+    Without a lens this is the plain weighted average (own + w*partner)/(1+w).
+    With one, each share is first judged against its threshold:
+    (f(own-own_tau) + w*f(partner-tau))/(1+w).
+    """
+    norm = 1.0 + w
+    if lens is None:
+        return lambda own, partner: (own + w * partner) / norm
+    return lambda own, partner: (
+        perceived_payoff(lens, own - own_tau) + w * perceived_payoff(lens, partner - tau)
+    ) / norm
+
+
 def baseline_ug_utility(gamma: float, d: float, own: float, partner: float) -> float:
     """Two-player utility without any fairness lens: (own + g^d*partner)/(1 + g^d)."""
-    w = _weight(gamma, d)
-    return (own + w * partner) / (1.0 + w)
+    return ug_kernel(weight(gamma, d))(own, partner)
 
 
 def fair_ug_utility(
@@ -75,8 +86,5 @@ def fair_ug_utility(
     own share (off by default; the shipped behaviour uses one tau for
     both terms).
     """
-    w = _weight(gamma, d)
     t_own = tau if own_tau is None else own_tau
-    f_own = perceived_payoff(lens, own - t_own)
-    f_partner = perceived_payoff(lens, partner - tau)
-    return (f_own + w * f_partner) / (1.0 + w)
+    return ug_kernel(weight(gamma, d), lens, tau, t_own)(own, partner)

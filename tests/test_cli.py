@@ -78,6 +78,21 @@ class TestCliExitCodes:
     def test_success_exit_0(self, capsys):
         assert run(["play"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["play", "--accept-threshold", "nan"],
+            ["play", "--tolerance", "inf", "--grid-step", "0.3"],
+            ["play", "--payoff-k", "inf", "--allocator-mode", "agent_tau", "--allocator-tau", "0.2"],
+            ["play", "--payoff-lambda", "inf"],
+            ["tau-curves", "--gamma", "0.5,nan", "--d-max", "0.4"],
+            ["tau-curves", "--gamma", "1.5"],
+        ],
+    )
+    def test_non_finite_or_out_of_range_value_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestPlayCommand:
     def test_dual_baseline_record(self, capsys):
@@ -100,6 +115,11 @@ class TestPlayCommand:
         assert "snapped" in caplog.text
         record = json.loads(capsys.readouterr().out)
         assert record["payoff_recipient"] == pytest.approx(0.33)
+
+    @pytest.mark.parametrize("offer", ["nan", "1.5"])
+    def test_offer_outside_unit_interval_exits_2(self, offer, capsys):
+        assert run(["play", "--offer", offer]) == 2
+        assert capsys.readouterr().out == ""
 
 
 class TestTauCurvesCommand:
@@ -142,11 +162,9 @@ class TestFilesAndPrecedence:
         text = capsys.readouterr().out
         assert loads_config(text) == loads_config(dump_config(loads_config(text)))
 
-    def test_repeat_runs_byte_identical(self, tmp_path, monkeypatch):
+    def test_repeat_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["utility-curves", "--allocator-mode", "agent_tau", "--allocator-tau", "0.5"]
-        monkeypatch.setenv("TRANSCEND_UG_THREADS", "1")
         assert run(argv + ["--output", str(out1)]) == 0
-        monkeypatch.setenv("TRANSCEND_UG_THREADS", "8")
         assert run(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()

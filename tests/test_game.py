@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility
 from transcend_ug.game import (
@@ -43,8 +43,14 @@ class TestGameConfig:
                 GameConfig(grid_step=step)
 
     def test_tolerance_positive(self):
-        with pytest.raises(ConfigError):
-            GameConfig(tolerance=0.0)
+        for tolerance in (0.0, math.inf, math.nan):
+            with pytest.raises(ConfigError):
+                GameConfig(tolerance=tolerance)
+
+    def test_accept_threshold_finite(self):
+        for threshold in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError):
+                GameConfig(accept_threshold=threshold)
 
     def test_splits_cover_unit_interval(self):
         grid = GameConfig(grid_step=0.25).splits()
@@ -168,6 +174,16 @@ class TestPlay:
             -2.0 * (1.0 - math.exp(-8.0 * 0.7)), abs=1e-12
         )
 
+    def test_offer_replaces_the_proposal(self):
+        outcome = play(baseline(0.5, 1.0), baseline(0.5, 1.0), GameConfig(), offer=0.3)
+        assert outcome.proposed_split.own_share == 0.7
+        assert (outcome.payoff_allocator, outcome.payoff_recipient) == (0.7, 0.3)
+
+    @pytest.mark.parametrize("offer", [math.nan, math.inf, -0.1, 1.5])
+    def test_offer_outside_unit_interval_rejected(self, offer):
+        with pytest.raises(ConfigError):
+            play(baseline(0.5, 1.0), baseline(0.5, 1.0), GameConfig(), offer=offer)
+
     def test_determinism(self):
         a = play(baseline(0.37, 0.9), agent_tau(0.61, 1.3, 0.44), GameConfig())
         b = play(baseline(0.37, 0.9), agent_tau(0.61, 1.3, 0.44), GameConfig())
@@ -246,3 +262,35 @@ def test_oracle_equivalence_on_sampled_configs(gamma, d, kind, tau, lam, k):
     else:
         assert found is not None
         assert abs(found.own_share - fine_min) <= cfg.grid_step + 1e-12
+
+
+@given(
+    st.floats(0.05, 0.95),
+    st.floats(0.0, 0.99),
+    st.one_of(st.just(None), st.floats(0.01, 0.49)),
+    st.floats(2.0, 16.0),
+    st.floats(1.2, 4.0),
+    st.sampled_from(list(TieBreak)),
+)
+@settings(max_examples=30, deadline=None)
+def test_interior_argmax_matches_closed_form(gamma, frac, agent_tau_value, k, lam, tie_break):
+    # With 0 < tau < 1/2 both shares sit on the gain branch at the optimum,
+    # which is (1 + d*ln(1/gamma)/k)/2 whenever it stays below 1 - tau, i.e.
+    # for d < k(1-2tau)/ln(1/gamma). Association play has tau = 1 - gamma**d,
+    # so its distance is drawn below ln(2)/ln(1/gamma), where tau < 1/2.
+    slope = math.log(1.0 / gamma)
+    if agent_tau_value is None:
+        d = frac * math.log(2.0) / slope
+        tau = 1.0 - gamma ** d
+        mode = FairnessMode.association()
+    else:
+        tau = agent_tau_value
+        d = frac * k * (1.0 - 2.0 * tau) / slope
+        mode = FairnessMode.agent_tau(tau)
+    assume(0.0 < tau < 0.5 and d < k * (1.0 - 2.0 * tau) / slope)
+    player = PlayerSpec.two_party(gamma, d, mode, PayoffLens(loss_aversion=lam, steepness=k))
+    # The default 1e-9 tie window is wider than one step where k*(share - tau)
+    # is large and the utility is that flat; ties here are float noise only.
+    cfg = GameConfig(grid_step=0.0001, tie_break=tie_break, tolerance=1e-14)
+    split, _ = best_split(player, cfg)
+    assert abs(split.own_share - (1.0 + d * slope / k) / 2.0) <= cfg.grid_step + 1e-12

@@ -25,10 +25,6 @@ class TestAspectAndSense:
         with pytest.raises(IdentityError):
             Aspect("x", -0.1)
 
-    def test_fixed_tau_range_checked(self):
-        with pytest.raises(IdentityError):
-            Aspect("x", 1.0, fixed_tau=1.5)
-
     def test_gamma_out_of_range_rejected(self):
         for gamma in (-0.1, 1.1):
             with pytest.raises(IdentityError):
@@ -117,8 +113,3 @@ def test_association_growth_rate_steeper_for_lower_gamma():
     assert rate[0.2] > rate[0.5] > rate[0.8]
     assert rate[0.2] == pytest.approx(-math.log(0.2), rel=0.05)
 
-
-def test_fixed_tau_is_ignored_by_resolution():
-    sense = SenseOfSelf(0.5, (Aspect(SELF_ID, 0.0), Aspect(PARTNER_ID, 1.0, fixed_tau=0.9)))
-    assert effective_tau(sense, FairnessMode.agent_tau(0.3), PARTNER_ID) == 0.3
-    assert effective_tau(sense, FairnessMode.association(), PARTNER_ID) == 0.5

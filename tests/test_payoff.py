@@ -57,7 +57,9 @@ def test_gap_rejects_nonpositive_delta():
         loss_aversion_gap(EXP, 0.0)
 
 
-@pytest.mark.parametrize("lam,k", [(1.0, 8.0), (0.5, 8.0), (2.0, 0.0), (2.0, -1.0)])
+@pytest.mark.parametrize(
+    "lam,k", [(1.0, 8.0), (0.5, 8.0), (2.0, 0.0), (2.0, -1.0), (math.inf, 8.0), (2.0, math.inf)]
+)
 def test_invalid_exp_value_parameters_rejected_at_construction(lam, k):
     with pytest.raises(LensConfigError):
         PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)

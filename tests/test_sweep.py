@@ -1,14 +1,26 @@
+import math
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_force_scan, oracle_fair_utility
-from transcend_ug.game import GameConfig, PlayerSpec
+from transcend_ug.game import (
+    GameConfig,
+    PlayerSpec,
+    TieBreak,
+    accepts,
+    best_split,
+    min_acceptable_split,
+    play,
+    utility_of_split,
+)
 from transcend_ug.identity import FairnessMode
 from transcend_ug.payoff import LensFamily, PayoffLens
 from transcend_ug.sweep import (
     ENVELOPE_MAX,
     ENVELOPE_MIN,
     SweepError,
-    THREADS_ENV,
     acceptance_matrix,
     axis_values,
     game_grid,
@@ -135,15 +147,6 @@ class TestAcceptanceMatrix:
         coords = [(r["d"], r["split"]) for r in rows]
         assert coords == sorted(coords)
 
-    def test_thread_count_does_not_change_cells(self, monkeypatch):
-        base = player(0.4, 0.0, FairnessMode.agent_tau(0.2))
-        args = (base, GameConfig(), axis_values(0.0, 2.4, 0.4), axis_values(0.0, 1.0, 0.1))
-        monkeypatch.setenv(THREADS_ENV, "1")
-        serial = acceptance_matrix(*args)
-        monkeypatch.setenv(THREADS_ENV, "8")
-        threaded = acceptance_matrix(*args)
-        assert serial == threaded
-
     def test_empty_axis_rejected(self):
         with pytest.raises(SweepError):
             acceptance_matrix(player(), GameConfig(), [], [0.5])
@@ -163,6 +166,16 @@ class TestTauCurves:
         low = [r["tau"] for r in rows if r["gamma"] == 0.2]
         high = [r["tau"] for r in rows if r["gamma"] == 0.8]
         assert all(a >= b for a, b in zip(low, high))
+
+
+    @pytest.mark.parametrize(
+        "gammas, d_values",
+        [([0.5, math.nan], [1.0]), ([1.5], [1.0]), ([-0.1], [1.0]),
+         ([0.5], [math.nan]), ([0.5], [math.inf]), ([0.5], [-1.0])],
+    )
+    def test_bad_axis_values_rejected(self, gammas, d_values):
+        with pytest.raises(SweepError):
+            tau_curves(gammas, d_values)
 
 
 class TestGameGrid:
@@ -195,3 +208,76 @@ class TestGameGrid:
         with pytest.raises(SweepError):
             game_grid(player(), player(), GameConfig(),
                       ("referee.gamma", [0.5]), ("recipient.gamma", [0.6]))
+
+
+MODES = st.one_of(
+    st.just(FairnessMode.baseline()),
+    st.just(FairnessMode.association()),
+    st.floats(0.0, 1.0).map(FairnessMode.agent_tau),
+)
+SHARES = st.floats(0.0, 1.0)
+
+
+@given(
+    alloc_mode=MODES,
+    recip_mode=MODES,
+    gammas=st.lists(SHARES, min_size=1, max_size=2, unique=True),
+    ds=st.lists(st.floats(0.0, 2.4), min_size=1, max_size=2, unique=True),
+    own_tau_zero=st.booleans(),
+    tie_break=st.sampled_from(list(TieBreak)),
+    threshold=st.floats(-0.5, 0.5),
+    split_step=st.sampled_from([0.05, 0.1, 0.125, 0.25]),
+    offers=st.lists(SHARES, min_size=1, max_size=4),
+)
+@example(  # utility exactly 0 at share 1/2 meets threshold 0: the tolerance decides
+    alloc_mode=FairnessMode.agent_tau(0.5),
+    recip_mode=FairnessMode.agent_tau(0.5),
+    gammas=[0.5],
+    ds=[0.0],
+    own_tau_zero=False,
+    tie_break=TieBreak.CLOSEST_TO_EQUAL,
+    threshold=0.0,
+    split_step=0.05,
+    offers=[0.5],
+)
+@settings(max_examples=60, deadline=None)
+def test_sweeps_agree_with_engine(
+    alloc_mode, recip_mode, gammas, ds, own_tau_zero, tie_break, threshold, split_step, offers
+):
+    cfg = GameConfig(
+        grid_step=0.02, accept_threshold=threshold, tie_break=tie_break, own_tau_zero=own_tau_zero
+    )
+    allocator = PlayerSpec.two_party(0.4, 1.0, alloc_mode, EXP8)
+    recipient = PlayerSpec.two_party(0.6, 0.5, recip_mode, LENS)
+
+    # utility curves over a custom split grid mark what the engine picks on that grid
+    split_cfg = replace(cfg, grid_step=split_step)
+    rows = utility_curves(allocator, cfg, "d", ds, splits=axis_values(0.0, 1.0, split_step))
+    for d in ds:
+        player = with_param(allocator, "d", d)
+        curve = [r for r in rows if r["curve_param"] == "d" and r["curve_value"] == d]
+        assert [r["utility"] for r in curve] == [
+            utility_of_split(player, split_cfg, s) for s in split_cfg.splits()
+        ]
+        assert [r["split"] for r in curve if r["is_best_split"]] == [
+            best_split(player, split_cfg)[0].own_share
+        ]
+        found = min_acceptable_split(player, split_cfg)
+        assert [r["split"] for r in curve if r["is_min_acceptable"]] == (
+            [] if found is None else [found.own_share]
+        )
+
+    for cell in acceptance_matrix(recipient, cfg, ds, offers):
+        player = with_param(recipient, "d", cell["d"])
+        assert cell["accepted"] == int(accepts(player, cfg, cell["split"]))
+
+    cells = game_grid(allocator, recipient, cfg, ("allocator.d", ds), ("recipient.gamma", gammas))
+    assert len(cells) == len(ds) * len(gammas)
+    for cell in cells:
+        outcome = play(
+            with_param(allocator, "d", cell["axis1"]),
+            with_param(recipient, "gamma", cell["axis2"]),
+            cfg,
+        )
+        assert cell["proposed_split"] == outcome.proposed_split.own_share
+        assert cell["accepted"] == int(outcome.accepted)
