@@ -2,7 +2,7 @@
 
 from .game import GameConfig, Outcome, PlayerSpec, TieBreak, accepts, best_split, min_acceptable_split, play, utility_of_split
 from .identity import Aspect, FairnessKind, FairnessMode, SenseOfSelf, attenuation, effective_tau
-from .payoff import LensFamily, PayoffLens, loss_aversion_gap, perceived_payoff
+from .payoff import LensFamily, PayoffLens, compile_lens, loss_aversion_gap, perceived_payoff
 from .utility import Split, baseline_ug_utility, ct_utility, fair_ug_utility
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "attenuation",
     "baseline_ug_utility",
     "best_split",
+    "compile_lens",
     "ct_utility",
     "effective_tau",
     "fair_ug_utility",

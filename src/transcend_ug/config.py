@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
@@ -138,6 +139,12 @@ def _validate(cfg: RunConfig) -> None:
     def check(cond: bool, message: str) -> None:
         if not cond:
             raise ConfigFileError(message)
+
+    for section, attr in _SECTIONS.items():
+        for name, value in vars(getattr(cfg, attr)).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                key = {v: k for k, v in _KEY_ALIASES.get(section, {}).items()}.get(name, name)
+                raise ConfigFileError(f"{section}.{key} must be finite, got {value}")
 
     g = cfg.game
     check(0.0 < g.grid_step <= 0.5, f"game.grid_step must lie in (0, 0.5], got {g.grid_step}")

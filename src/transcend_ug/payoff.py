@@ -10,6 +10,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 
 class LensFamily(enum.Enum):
@@ -54,22 +55,39 @@ class PayoffLens:
                 )
 
 
-def perceived_payoff(lens: PayoffLens, delta: float) -> float:
-    """Transform a disparity into a perceived payoff.
+def compile_lens(lens: PayoffLens) -> Callable[[float], float]:
+    """The lens as a function of the disparity, its parameters bound once.
 
     LINEAR: f(delta) = delta.
     EXP_VALUE: f(delta) = 1 - exp(-k*delta) for gains and
     -lambda*(1 - exp(k*delta)) for losses. Strictly increasing, f(0)=0,
     bounded in (-lambda, 1), concave on gains and convex on losses.
+    A non-finite delta raises ValueError.
     """
-    if not math.isfinite(delta):
-        raise ValueError(f"delta must be finite, got {delta}")
+    isfinite = math.isfinite
     if lens.family is LensFamily.LINEAR:
-        return delta
-    k = lens.steepness
-    if delta >= 0.0:
-        return 1.0 - math.exp(-k * delta)
-    return -lens.loss_aversion * (1.0 - math.exp(k * delta))
+
+        def linear(delta: float) -> float:
+            if not isfinite(delta):
+                raise ValueError(f"delta must be finite, got {delta}")
+            return delta
+
+        return linear
+    k, lam, exp = lens.steepness, lens.loss_aversion, math.exp
+
+    def f(delta: float) -> float:
+        if not isfinite(delta):
+            raise ValueError(f"delta must be finite, got {delta}")
+        if delta >= 0.0:
+            return 1.0 - exp(-k * delta)
+        return -lam * (1.0 - exp(k * delta))
+
+    return f
+
+
+def perceived_payoff(lens: PayoffLens, delta: float) -> float:
+    """Transform a disparity into a perceived payoff (see ``compile_lens``)."""
+    return compile_lens(lens)(delta)
 
 
 def loss_aversion_gap(lens: PayoffLens, delta: float) -> float:

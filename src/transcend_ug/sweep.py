@@ -11,8 +11,9 @@ import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .game import GameConfig, PlayerSpec, accepts, compile_player, play, scan
+from .game import GameConfig, PlayerSpec, accepts, best_split, compile_player, scan
 from .identity import PARTNER_ID, Aspect, FairnessKind, FairnessMode, weight
+from .utility import Split
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -24,6 +25,8 @@ class SweepError(ValueError):
 
 def axis_values(lo: float, hi: float, step: float, tolerance: float = 1e-9) -> List[float]:
     """Inclusive arithmetic grid from lo to hi; step must divide the span."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise SweepError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
     if not (hi > lo and step > 0.0):
         raise SweepError(f"axis must satisfy min < max and step > 0, got [{lo}, {hi}] step {step}")
     span = (hi - lo) / step
@@ -144,33 +147,40 @@ def game_grid(
 ) -> List[Dict[str, object]]:
     """Settled game per cell of two varied player parameters.
 
-    Axis names take the form ``allocator.gamma`` or ``recipient.d``.
+    Axis names take the form ``allocator.gamma`` or ``recipient.d``. The
+    allocator's proposal depends only on its own spec, so each distinct
+    allocator is scanned once per call and every cell then costs one
+    acceptance check; cells are the same as ``play`` on each pair.
     """
 
     def apply(alloc: PlayerSpec, recip: PlayerSpec, name: str, value: float):
         role, _, param = name.partition(".")
         if role == "allocator":
             return with_param(alloc, param, value), recip
-        if role == "recipient":
-            return alloc, with_param(recip, param, value)
-        raise SweepError(f"axis {name!r} must start with allocator. or recipient.")
+        return alloc, with_param(recip, param, value)
 
     name1, values1 = axis1
     name2, values2 = axis2
     if name1 == name2:
         raise SweepError("game-grid axes must differ")
-    cells = [(v1, v2) for v1 in sorted(values1) for v2 in sorted(values2)]
-
-    def one_cell(vv: Tuple[float, float]) -> Dict[str, object]:
-        v1, v2 = vv
-        alloc, recip = apply(allocator, recipient, name1, v1)
-        alloc, recip = apply(alloc, recip, name2, v2)
-        outcome = play(alloc, recip, cfg)
-        return {
-            "axis1": v1,
-            "axis2": v2,
-            "proposed_split": outcome.proposed_split.own_share,
-            "accepted": int(outcome.accepted),
-        }
-
-    return [one_cell(vv) for vv in cells]
+    for name in (name1, name2):
+        if name.partition(".")[0] not in ("allocator", "recipient"):
+            raise SweepError(f"axis {name!r} must start with allocator. or recipient.")
+    proposals: Dict[PlayerSpec, Split] = {}
+    rows = []
+    for v1 in sorted(values1):
+        alloc1, recip1 = apply(allocator, recipient, name1, v1)
+        for v2 in sorted(values2):
+            alloc, recip = apply(alloc1, recip1, name2, v2)
+            split = proposals.get(alloc)
+            if split is None:
+                split = proposals[alloc] = best_split(alloc, cfg)[0]
+            rows.append(
+                {
+                    "axis1": v1,
+                    "axis2": v2,
+                    "proposed_split": split.own_share,
+                    "accepted": int(accepts(recip, cfg, split.partner_share)),
+                }
+            )
+    return rows

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .identity import IdentityError, SenseOfSelf, attenuation, weight
-from .payoff import PayoffLens, perceived_payoff
+from .payoff import PayoffLens, compile_lens
 
 
 @dataclass(frozen=True)
@@ -59,9 +59,8 @@ def ug_kernel(
     norm = 1.0 + w
     if lens is None:
         return lambda own, partner: (own + w * partner) / norm
-    return lambda own, partner: (
-        perceived_payoff(lens, own - own_tau) + w * perceived_payoff(lens, partner - tau)
-    ) / norm
+    f = compile_lens(lens)
+    return lambda own, partner: (f(own - own_tau) + w * f(partner - tau)) / norm
 
 
 def baseline_ug_utility(gamma: float, d: float, own: float, partner: float) -> float:

@@ -58,6 +58,16 @@ class TestLoadConfig:
         cfg = loads_config(MINIMAL + "\n[payoff]\nfamily = linear\nlambda = 0.5\n")
         assert cfg.payoff.family == "linear"
 
+    @pytest.mark.parametrize(
+        "section, key, raw",
+        [("game", "accept_threshold", "nan"), ("game", "tolerance", "inf"),
+         ("agent.recipient", "tau", "nan"), ("payoff", "lambda", "inf"),
+         ("sweep", "d_max", "inf"), ("sweep", "split_step", "-inf")],
+    )
+    def test_non_finite_value_names_field(self, section, key, raw):
+        with pytest.raises(ConfigFileError, match=rf"{section}\.{key} must be finite"):
+            loads_config(f"[{section}]\n{key} = {raw}\n")
+
     def test_round_trip_is_identity(self):
         cfg = loads_config(MINIMAL + "\n[game]\ngrid_step = 0.05\n[payoff]\nk = 7.5\n")
         assert loads_config(dump_config(cfg)) == cfg
@@ -87,6 +97,11 @@ class TestCliExitCodes:
             ["play", "--payoff-lambda", "inf"],
             ["tau-curves", "--gamma", "0.5,nan", "--d-max", "0.4"],
             ["tau-curves", "--gamma", "1.5"],
+            ["play", "--accept-threshold", "nan", "--print-config"],
+            ["play", "--payoff-k", "inf", "--print-config"],
+            ["play", "--tolerance", "inf", "--grid-step", "0.3", "--print-config"],
+            ["tau-curves", "--d-max", "inf"],
+            ["acceptance-matrix", "--d-max", "inf"],
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2(self, argv, capsys):

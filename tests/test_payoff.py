@@ -3,10 +3,12 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from conftest import oracle_f
 from transcend_ug.payoff import (
     LensConfigError,
     LensFamily,
     PayoffLens,
+    compile_lens,
     loss_aversion_gap,
     perceived_payoff,
 )
@@ -73,6 +75,32 @@ def test_linear_ignores_lambda_and_k():
 def test_nonfinite_delta_rejected():
     with pytest.raises(ValueError):
         perceived_payoff(EXP, math.inf)
+
+
+DELTAS = [-1.0, -0.3, -1e-12, 0.0, 1e-12, 0.3, 1.0]
+
+
+def closed_form(lens, delta):
+    if lens.family is LensFamily.LINEAR:
+        return delta
+    return oracle_f(delta, lens.steepness, lens.loss_aversion)
+
+
+@pytest.mark.parametrize("lens", [EXP, LINEAR, PayoffLens()], ids=["exp_k8", "linear", "default"])
+def test_compile_lens_is_the_closed_form(lens):
+    f = compile_lens(lens)
+    for delta in DELTAS:
+        assert f(delta) == closed_form(lens, delta)
+        assert perceived_payoff(lens, delta) == f(delta)
+        if delta > 0.0 and lens.family is LensFamily.EXP_VALUE:
+            assert loss_aversion_gap(lens, delta) == abs(f(-delta)) - abs(f(delta))
+
+
+@pytest.mark.parametrize("lens", [EXP, LINEAR], ids=["exp_value", "linear"])
+@pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+def test_compile_lens_rejects_non_finite_delta(lens, delta):
+    with pytest.raises(ValueError, match="finite"):
+        compile_lens(lens)(delta)
 
 
 @given(valid_lenses, st.floats(-1.0, 1.0), st.floats(1e-6, 0.5))

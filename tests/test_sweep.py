@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_force_scan, oracle_fair_utility
+from transcend_ug import game
 from transcend_ug.game import (
     GameConfig,
     PlayerSpec,
@@ -50,6 +51,15 @@ class TestAxisValues:
             axis_values(0.0, 1.0, 0.0)
         with pytest.raises(SweepError):
             axis_values(0.0, 1.0, 0.3)
+
+    @pytest.mark.parametrize(
+        "lo, hi, step",
+        [(0.0, math.inf, 0.2), (-math.inf, 1.0, 0.2), (math.nan, 1.0, 0.2),
+         (0.0, math.nan, 0.2), (0.0, 1.0, math.inf), (0.0, 1.0, math.nan)],
+    )
+    def test_non_finite_axis_rejected(self, lo, hi, step):
+        with pytest.raises(SweepError, match="finite"):
+            axis_values(lo, hi, step)
 
 
 class TestWithParam:
@@ -208,6 +218,40 @@ class TestGameGrid:
         with pytest.raises(SweepError):
             game_grid(player(), player(), GameConfig(),
                       ("referee.gamma", [0.5]), ("recipient.gamma", [0.6]))
+
+    @pytest.mark.parametrize(
+        "name1, values1, name2, values2, scans",
+        [
+            ("allocator.gamma", [0.2, 0.4, 0.6, 0.8], "recipient.d", [0.0, 0.5, 1.0, 1.5, 2.0], 4),
+            ("recipient.gamma", [0.2, 0.4, 0.6, 0.8], "recipient.d", [0.0, 0.5, 1.0, 1.5, 2.0], 1),
+            ("allocator.gamma", [0.2, 0.4, 0.6, 0.8], "allocator.d", [0.0, 0.5, 1.0, 1.5, 2.0], 20),
+            ("recipient.gamma", [0.2, 0.4, 0.6, 0.8], "allocator.d", [0.0, 0.5, 1.0, 1.5, 2.0], 5),
+            ("allocator.d", [0.2, 0.2], "recipient.gamma", [0.3, 0.3, 0.7], 1),
+        ],
+    )
+    def test_one_scan_per_distinct_allocator(self, monkeypatch, name1, values1, name2, values2, scans):
+        allocator = player(0.4, 1.0, FairnessMode.agent_tau(0.2), EXP8)
+        recipient = player(0.6, 0.5, FairnessMode.association())
+        cfg = GameConfig(grid_step=0.02)
+        calls, scan = [], game.scan
+
+        def counted_scan(*args, **kwargs):
+            calls.append(1)
+            return scan(*args, **kwargs)
+
+        monkeypatch.setattr(game, "scan", counted_scan)
+        rows = game_grid(allocator, recipient, cfg, (name1, values1), (name2, values2))
+        assert len(calls) == scans
+        assert len(rows) == len(values1) * len(values2)
+        specs = {"allocator": allocator, "recipient": recipient}
+        for row in rows:
+            cell = dict(specs)
+            for name, value in ((name1, row["axis1"]), (name2, row["axis2"])):
+                role, _, param = name.partition(".")
+                cell[role] = with_param(cell[role], param, value)
+            outcome = play(cell["allocator"], cell["recipient"], cfg)
+            assert row["proposed_split"] == outcome.proposed_split.own_share
+            assert row["accepted"] == int(outcome.accepted)
 
 
 MODES = st.one_of(
