@@ -151,7 +151,10 @@ def _break_ties(candidates: List[float], rule: TieBreak) -> float:
         return min(candidates)
     if rule is TieBreak.HIGHEST_OWN_SHARE:
         return max(candidates)
-    return min(candidates, key=lambda s: (abs(s - 0.5), s))
+    # Mirror shares s and 1 - s can lie an ulp apart in distance from 0.5;
+    # count them as equally close so the lower share wins, as the rule says.
+    nearest = min(abs(s - 0.5) for s in candidates)
+    return min(s for s in candidates if abs(s - 0.5) <= nearest + 1e-12)
 
 
 class Scan(NamedTuple):

@@ -37,7 +37,8 @@ def brute_force_scan(
     grid = [i / cells for i in range(cells + 1)]
     utils = [utility(s) for s in grid]
     top = max(utils)
-    ties = [s for s, u in zip(grid, utils) if u >= top - tolerance]
-    best = min(ties, key=lambda s: (abs(s - 0.5), s))
+    ties = [i for i, u in enumerate(utils) if u >= top - tolerance]
+    # Distance from the equal split in whole cells, so mirror shares tie exactly.
+    best = grid[min(ties, key=lambda i: (abs(2 * i - cells), i))]
     min_acc = next((s for s, u in zip(grid, utils) if u >= accept_threshold - tolerance), None)
     return best, min_acc

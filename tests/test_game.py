@@ -118,6 +118,13 @@ class TestBestSplit:
             split, _ = best_split(baseline(1.0, 1.0), cfg)
             assert split.own_share == expected
 
+    def test_mirror_maxima_resolve_to_lower_share(self):
+        # At d = 0 the utility is symmetric in s <-> 1 - s; with tau above one
+        # half it peaks at 0.30 and 0.70, whose float distances from 0.5 differ.
+        lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=3.0, steepness=2.0)
+        split, _ = best_split(agent_tau(0.5, 0.0, 0.7, lens), GameConfig(grid_step=0.02))
+        assert split.own_share == 0.3
+
 
 class TestMinAcceptableSplit:
     def test_baseline_accepts_from_zero(self):
