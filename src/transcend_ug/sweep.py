@@ -11,9 +11,8 @@ import math
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .game import GameConfig, PlayerSpec, accepts, best_split, compile_player, scan
+from .game import GameConfig, PlayerSpec, accepts, compile_player, play, scan
 from .identity import PARTNER_ID, Aspect, FairnessKind, FairnessMode, weight
-from .utility import Split
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -147,10 +146,9 @@ def game_grid(
 ) -> List[Dict[str, object]]:
     """Settled game per cell of two varied player parameters.
 
-    Axis names take the form ``allocator.gamma`` or ``recipient.d``. The
-    allocator's proposal depends only on its own spec, so each distinct
-    allocator is scanned once per call and every cell then costs one
-    acceptance check; cells are the same as ``play`` on each pair.
+    Axis names take the form ``allocator.gamma`` or ``recipient.d``. Each
+    cell is one ``play`` of its pair, so a call costs one allocator scan
+    per cell whichever parameters its axes vary.
     """
 
     def apply(alloc: PlayerSpec, recip: PlayerSpec, name: str, value: float):
@@ -166,21 +164,17 @@ def game_grid(
     for name in (name1, name2):
         if name.partition(".")[0] not in ("allocator", "recipient"):
             raise SweepError(f"axis {name!r} must start with allocator. or recipient.")
-    proposals: Dict[PlayerSpec, Split] = {}
     rows = []
     for v1 in sorted(values1):
         alloc1, recip1 = apply(allocator, recipient, name1, v1)
         for v2 in sorted(values2):
-            alloc, recip = apply(alloc1, recip1, name2, v2)
-            split = proposals.get(alloc)
-            if split is None:
-                split = proposals[alloc] = best_split(alloc, cfg)[0]
+            outcome = play(*apply(alloc1, recip1, name2, v2), cfg)
             rows.append(
                 {
                     "axis1": v1,
                     "axis2": v2,
-                    "proposed_split": split.own_share,
-                    "accepted": int(accepts(recip, cfg, split.partner_share)),
+                    "proposed_split": outcome.proposed_split.own_share,
+                    "accepted": int(outcome.accepted),
                 }
             )
     return rows
