@@ -102,6 +102,11 @@ class TestCliExitCodes:
             ["play", "--tolerance", "inf", "--grid-step", "0.3", "--print-config"],
             ["tau-curves", "--d-max", "inf"],
             ["acceptance-matrix", "--d-max", "inf"],
+            ["game-grid", "--axis1", "allocator.gamma", "--axis1-values", "0.5,1.5",
+             "--axis2", "recipient.d", "--axis2-values", "0.1,0.2"],
+            ["game-grid", "--axis1-values", ""],
+            ["game-grid", "--axis2-values", ""],
+            ["utility-curves", "--curve-values", ","],
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2(self, argv, capsys):

@@ -1,11 +1,12 @@
 import math
+import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import brute_force_scan, oracle_fair_utility
-from transcend_ug import game
+from transcend_ug import game, sweep
 from transcend_ug.game import (
     GameConfig,
     PlayerSpec,
@@ -16,7 +17,7 @@ from transcend_ug.game import (
     play,
     utility_of_split,
 )
-from transcend_ug.identity import FairnessMode
+from transcend_ug.identity import FairnessMode, IdentityError
 from transcend_ug.payoff import LensFamily, PayoffLens
 from transcend_ug.sweep import (
     ENVELOPE_MAX,
@@ -138,6 +139,10 @@ class TestUtilityCurves:
         with pytest.raises(SweepError):
             utility_curves(player(), GameConfig(), "epsilon", [0.1])
 
+    def test_empty_curve_list_rejected(self):
+        with pytest.raises(SweepError, match="non-empty"):
+            utility_curves(player(), GameConfig(), "d", [])
+
 
 class TestAcceptanceMatrix:
     def test_moderate_tau_zero_distance_row(self):
@@ -188,6 +193,15 @@ class TestTauCurves:
             tau_curves(gammas, d_values)
 
 
+GRIDS = [
+    ("allocator.gamma", [0.2, 0.4, 0.6, 0.8], "recipient.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
+    ("recipient.gamma", [0.2, 0.4, 0.6, 0.8], "recipient.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
+    ("allocator.gamma", [0.2, 0.4, 0.6, 0.8], "allocator.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
+    ("recipient.gamma", [0.2, 0.4, 0.6, 0.8], "allocator.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
+    ("allocator.d", [0.2, 0.2], "recipient.gamma", [0.3, 0.3, 0.7]),
+]
+
+
 class TestGameGrid:
     def test_dual_baseline_grid(self):
         rows = game_grid(
@@ -219,21 +233,36 @@ class TestGameGrid:
             game_grid(player(), player(), GameConfig(),
                       ("referee.gamma", [0.5]), ("recipient.gamma", [0.6]))
 
+    @pytest.mark.parametrize("values1, values2", [([], [0.5]), ([0.5], [])])
+    def test_empty_axis_rejected(self, values1, values2):
+        with pytest.raises(SweepError, match="non-empty"):
+            game_grid(player(), player(), GameConfig(),
+                      ("allocator.gamma", values1), ("recipient.gamma", values2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize(
-        "name1, values1, name2, values2",
-        [
-            ("allocator.gamma", [0.2, 0.4, 0.6, 0.8], "recipient.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
-            ("recipient.gamma", [0.2, 0.4, 0.6, 0.8], "recipient.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
-            ("allocator.gamma", [0.2, 0.4, 0.6, 0.8], "allocator.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
-            ("recipient.gamma", [0.2, 0.4, 0.6, 0.8], "allocator.d", [0.0, 0.5, 1.0, 1.5, 2.0]),
-            ("allocator.d", [0.2, 0.2], "recipient.gamma", [0.3, 0.3, 0.7]),
-        ],
+        "axis1, error, match",
+        [(("allocator.gamma", [0.5, 1.5]), IdentityError, r"gamma must lie in \[0,1\], got 1.5"),
+         (("allocator.tau", [0.2, 0.4]), SweepError, "requires agent_tau")],
+        ids=["gamma-out-of-range", "tau-axis-without-agent-tau"],
     )
+    def test_bad_axis_raises_before_any_fork(self, monkeypatch, workers, axis1, error, match):
+        def no_fork():
+            raise AssertionError("forked before the axes were checked")
+
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        with pytest.raises(error, match=match):
+            game_grid(player(), player(), GameConfig(), axis1, ("recipient.d", [0.1, 0.2]))
+
+    @pytest.mark.parametrize("name1, values1, name2, values2", GRIDS)
     def test_one_scan_per_cell(self, monkeypatch, name1, values1, name2, values2):
         """Every cell is one full game, whichever roles the axes vary."""
         allocator = player(0.4, 1.0, FairnessMode.agent_tau(0.2), EXP8)
         recipient = player(0.6, 0.5, FairnessMode.association())
         cfg = GameConfig(grid_step=0.02)
+        # Scans in a forked child are not seen here, so play every row in this process.
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
         calls, scan = [], game.scan
 
         def counted_scan(*args, **kwargs):
@@ -253,6 +282,71 @@ class TestGameGrid:
             outcome = play(cell["allocator"], cell["recipient"], cfg)
             assert row["proposed_split"] == outcome.proposed_split.own_share
             assert row["accepted"] == int(outcome.accepted)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are played in forked children")
+class TestGameGridWorkers:
+    ALLOCATOR = player(0.4, 1.0, FairnessMode.agent_tau(0.2), EXP8)
+    RECIPIENT = player(0.6, 0.5, FairnessMode.association())
+    CFG = GameConfig(grid_step=0.02)
+
+    def grid(self, monkeypatch, workers, axes=GRIDS[0]):
+        name1, values1, name2, values2 = axes
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+        return game_grid(self.ALLOCATOR, self.RECIPIENT, self.CFG, (name1, values1), (name2, values2))
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("axes", GRIDS)
+    def test_same_rows_with_one_and_two_workers(self, monkeypatch, axes):
+        assert self.grid(monkeypatch, 2, axes) == self.grid(monkeypatch, 1, axes)
+        self.assert_no_child_left()
+
+    def test_more_workers_than_rows(self, monkeypatch):
+        assert self.grid(monkeypatch, 8) == self.grid(monkeypatch, 1)
+        self.assert_no_child_left()
+
+    def test_interrupt_here_kills_and_reaps_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def play_or_interrupt(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "play", play_or_interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            self.grid(monkeypatch, 2)
+        self.assert_no_child_left()
+
+    def test_child_error_reaches_caller(self, monkeypatch):
+        parent = os.getpid()
+
+        def play_or_fail(*args, **kwargs):
+            if os.getpid() != parent:
+                raise ArithmeticError("cell failed in a child")
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "play", play_or_fail)
+        with pytest.raises(ArithmeticError, match="cell failed in a child"):
+            self.grid(monkeypatch, 2)
+        self.assert_no_child_left()
+
+    def test_child_that_dies_is_not_success(self, monkeypatch):
+        parent = os.getpid()
+
+        def play_or_die(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(0)
+            return play(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "play", play_or_die)
+        with pytest.raises(RuntimeError, match="exited with status 0 and no result"):
+            self.grid(monkeypatch, 2)
+        self.assert_no_child_left()
 
 
 MODES = st.one_of(
