@@ -166,11 +166,11 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
 
 def _d_axis(cfg: RunConfig) -> List[float]:
     s = cfg.sweep
-    return axis_values(s.d_min, s.d_max, s.d_step, cfg.game.tolerance)
+    return axis_values(s.d_min, s.d_max, s.d_step)
 
 
 def _split_axis(cfg: RunConfig) -> List[float]:
-    return axis_values(0.0, 1.0, cfg.sweep.split_step, cfg.game.tolerance)
+    return axis_values(0.0, 1.0, cfg.sweep.split_step)
 
 
 def _curve_values(cfg: RunConfig) -> List[float]:

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, List
 
-from .game import GameConfig, PlayerSpec, TieBreak
-from .identity import FairnessMode
+from .game import STEP_SLACK, GameConfig, TieBreak
+from .identity import FairnessMode, PlayerSpec
 from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensFamily, PayoffLens
 
 
@@ -155,7 +155,7 @@ def _validate(cfg: RunConfig) -> None:
     )
     cells = 1.0 / g.grid_step
     check(
-        abs(cells - round(cells)) <= g.tolerance * round(cells),
+        abs(cells - round(cells)) <= STEP_SLACK * round(cells),
         f"game.grid_step {g.grid_step} does not divide 1 evenly",
     )
     for role in ("allocator", "recipient"):

@@ -13,11 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from .identity import PARTNER_ID, FairnessKind, FairnessMode, SenseOfSelf, effective_tau, weight
-from .payoff import PayoffLens
+from .identity import FairnessKind, PlayerSpec, effective_tau, weight
 from .utility import Split, ug_kernel
 
 log = logging.getLogger(__name__)
+
+# Relative slack within which a step counts as dividing a span evenly. It
+# is fixed: the tie tolerance must not decide which grids exist.
+STEP_SLACK = 1e-9
 
 
 class TieBreak(enum.Enum):
@@ -54,7 +57,7 @@ class GameConfig:
         if not math.isfinite(self.accept_threshold):
             raise ConfigError(f"accept_threshold must be finite, got {self.accept_threshold}")
         cells = 1.0 / self.grid_step
-        if abs(cells - round(cells)) > self.tolerance * round(cells):
+        if abs(cells - round(cells)) > STEP_SLACK * round(cells):
             raise ConfigError(f"grid_step {self.grid_step} does not divide 1 evenly")
 
     @property
@@ -77,21 +80,6 @@ class GameConfig:
     def clears(self, utility: float) -> bool:
         """Whether a utility clears the acceptance threshold."""
         return utility >= self.accept_threshold - self.tolerance
-
-
-@dataclass(frozen=True)
-class PlayerSpec:
-    """One player: identity, fairness mode, and perception lens."""
-
-    sense: SenseOfSelf
-    mode: FairnessMode
-    lens: PayoffLens
-
-    @classmethod
-    def two_party(
-        cls, gamma: float, partner_distance: float, mode: FairnessMode, lens: PayoffLens
-    ) -> "PlayerSpec":
-        return cls(SenseOfSelf.two_party(gamma, partner_distance), mode, lens)
 
 
 @dataclass(frozen=True)
@@ -125,25 +113,20 @@ def compile_player(player: PlayerSpec, cfg: GameConfig) -> Utility:
     Weight, thresholds and lens are resolved here, once per player, so
     scans evaluate only the formula.
     """
-    w = weight(player.sense.gamma, player.sense.partner_distance)
+    w = weight(player.gamma, player.d)
     kind = player.mode.kind
     if kind is FairnessKind.BASELINE:
         return ug_kernel(w)
-    tau = effective_tau(player.sense, player.mode, PARTNER_ID)
+    tau = effective_tau(player)
     own_tau = 0.0 if (cfg.own_tau_zero and kind is FairnessKind.ASSOCIATION) else tau
     return ug_kernel(w, player.lens, tau, own_tau)
-
-
-def realized_utility(player: PlayerSpec, cfg: GameConfig, own: float, partner: float) -> float:
-    """Utility of a realized payoff pair through the player's own mode and lens."""
-    return compile_player(player, cfg)(own, partner)
 
 
 def utility_of_split(player: PlayerSpec, cfg: GameConfig, own: float) -> float:
     """Utility the player derives from keeping ``own`` of the unit resource."""
     if not 0.0 <= own <= 1.0:
         raise ValueError(f"own share must lie in [0,1], got {own}")
-    return realized_utility(player, cfg, own, 1.0 - own)
+    return compile_player(player, cfg)(own, 1.0 - own)
 
 
 def _break_ties(candidates: List[float], rule: TieBreak) -> float:

@@ -1,75 +1,23 @@
-"""Sense of self: identity sets, transcendence, and fairness thresholds.
+"""Players: transcendence, semantic distance, and fairness thresholds.
 
-An agent's identity is a set of aspects (itself, other agents, notions),
-each at a semantic distance d. The transcendence level gamma controls how
-strongly payoffs of non-self aspects count, through the attenuation
-weight gamma**d. The fairness threshold tau is either absent (baseline),
-a fixed trait of the agent, or derived per aspect from the association
-strength as 1 - gamma**d.
+A player of the two-party Ultimatum Game identifies with its partner at
+semantic distance d. The transcendence level gamma controls how strongly
+the partner's payoff counts, through the weight gamma**d. The fairness
+threshold tau is either absent (baseline), a fixed trait of the player,
+or derived from the association strength as 1 - gamma**d.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
-SELF_ID = "self"
-PARTNER_ID = "partner"
+from .payoff import PayoffLens
 
 
 class IdentityError(ValueError):
-    """Raised on malformed identity data or unknown aspect lookups."""
-
-
-@dataclass(frozen=True)
-class Aspect:
-    """One element of an identity set."""
-
-    id: str
-    distance: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.distance) and self.distance >= 0.0):
-            raise IdentityError(f"aspect {self.id!r}: distance must be >= 0, got {self.distance}")
-
-
-@dataclass(frozen=True)
-class SenseOfSelf:
-    """An agent's transcendence level and identity set.
-
-    The set always contains the distinguished self aspect at distance 0.
-    """
-
-    gamma: float
-    aspects: Tuple[Aspect, ...]
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.gamma <= 1.0:
-            raise IdentityError(f"gamma must lie in [0,1], got {self.gamma}")
-        ids = [a.id for a in self.aspects]
-        if len(set(ids)) != len(ids):
-            raise IdentityError(f"aspect ids must be unique, got {ids}")
-        selves = [a for a in self.aspects if a.id == SELF_ID]
-        if not selves:
-            raise IdentityError("identity set must contain the self aspect")
-        if selves[0].distance != 0.0:
-            raise IdentityError("self aspect must have distance 0")
-
-    @classmethod
-    def two_party(cls, gamma: float, partner_distance: float) -> "SenseOfSelf":
-        """The {self, partner} identity used by the two-player game."""
-        return cls(gamma, (Aspect(SELF_ID, 0.0), Aspect(PARTNER_ID, partner_distance)))
-
-    def aspect(self, aspect_id: str) -> Aspect:
-        for a in self.aspects:
-            if a.id == aspect_id:
-                return a
-        raise IdentityError(f"unknown aspect {aspect_id!r}")
-
-    @property
-    def partner_distance(self) -> float:
-        return self.aspect(PARTNER_ID).distance
+    """Raised on a malformed player or fairness mode."""
 
 
 class FairnessKind(enum.Enum):
@@ -105,27 +53,42 @@ class FairnessMode:
         return cls(FairnessKind.ASSOCIATION)
 
 
+@dataclass(frozen=True)
+class PlayerSpec:
+    """One player: transcendence gamma, distance d to the partner, fairness mode, lens."""
+
+    gamma: float
+    d: float
+    mode: FairnessMode
+    lens: PayoffLens
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.gamma <= 1.0:
+            raise IdentityError(f"gamma must lie in [0,1], got {self.gamma}")
+        if not (math.isfinite(self.d) and self.d >= 0.0):
+            raise IdentityError(f"d must be finite and >= 0, got {self.d}")
+
+    @classmethod
+    def two_party(cls, gamma: float, d: float, mode: FairnessMode, lens: PayoffLens) -> "PlayerSpec":
+        return cls(gamma, d, mode, lens)
+
+
 def weight(gamma: float, d: float) -> float:
-    """Attenuation weight gamma**d of a payoff at distance d, with 0**0 taken as 1."""
+    """Weight gamma**d of a payoff at distance d, with 0**0 taken as 1."""
     return 1.0 if d == 0.0 else gamma ** d
 
 
-def attenuation(sense: SenseOfSelf, aspect_id: str) -> float:
-    """Weight of an aspect's payoff in the agent's identity."""
-    return weight(sense.gamma, sense.aspect(aspect_id).distance)
-
-
-def effective_tau(sense: SenseOfSelf, mode: FairnessMode, aspect_id: str) -> float:
-    """Fairness threshold the agent applies toward the given aspect.
+def effective_tau(player: PlayerSpec) -> float:
+    """Fairness threshold the player applies toward its partner.
 
     Baseline resolves to 0 (and callers skip the lens entirely);
-    agent-based modes use the fixed trait regardless of aspect;
+    agent-based modes use the fixed trait regardless of distance;
     association-based modes use 1 - gamma**d.
     """
-    d = sense.aspect(aspect_id).distance  # raises on unknown aspect
+    mode = player.mode
     if mode.kind is FairnessKind.BASELINE:
         return 0.0
     if mode.kind is FairnessKind.AGENT_TAU:
         assert mode.tau is not None
         return mode.tau
-    return 1.0 - weight(sense.gamma, d)
+    return 1.0 - weight(player.gamma, player.d)

@@ -83,21 +83,3 @@ def compile_lens(lens: PayoffLens) -> Callable[[float], float]:
         return -lam * (1.0 - exp(k * delta))
 
     return f
-
-
-def perceived_payoff(lens: PayoffLens, delta: float) -> float:
-    """Transform a disparity into a perceived payoff (see ``compile_lens``)."""
-    return compile_lens(lens)(delta)
-
-
-def loss_aversion_gap(lens: PayoffLens, delta: float) -> float:
-    """Excess of the perceived loss over the perceived gain at +/-delta.
-
-    Returns |f(-delta)| - |f(delta)|; strictly positive for all delta > 0
-    whenever lambda > 1.
-    """
-    if lens.family is LensFamily.LINEAR:
-        raise LensConfigError("loss aversion undefined for symmetric family")
-    if not delta > 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    return abs(perceived_payoff(lens, -delta)) - abs(perceived_payoff(lens, delta))

@@ -13,8 +13,8 @@ import os
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .game import GameConfig, PlayerSpec, accepts, compile_player, play, scan
-from .identity import PARTNER_ID, Aspect, FairnessKind, FairnessMode, weight
+from .game import STEP_SLACK, GameConfig, accepts, compile_player, play, scan
+from .identity import FairnessKind, FairnessMode, PlayerSpec, weight
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -24,7 +24,7 @@ class SweepError(ValueError):
     """Raised on malformed sweep axes."""
 
 
-def axis_values(lo: float, hi: float, step: float, tolerance: float = 1e-9) -> List[float]:
+def axis_values(lo: float, hi: float, step: float) -> List[float]:
     """Inclusive arithmetic grid from lo to hi; step must divide the span."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise SweepError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
@@ -32,21 +32,15 @@ def axis_values(lo: float, hi: float, step: float, tolerance: float = 1e-9) -> L
         raise SweepError(f"axis must satisfy min < max and step > 0, got [{lo}, {hi}] step {step}")
     span = (hi - lo) / step
     n = round(span)
-    if abs(span - n) > tolerance * max(1, n):
+    if abs(span - n) > STEP_SLACK * max(1, n):
         raise SweepError(f"step {step} does not divide the span [{lo}, {hi}] evenly")
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
 def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
     """Copy of a player spec with one of {gamma, d, tau} replaced."""
-    if name == "gamma":
-        return replace(spec, sense=replace(spec.sense, gamma=value))
-    if name == "d":
-        aspects = tuple(
-            Aspect(a.id, value) if a.id == PARTNER_ID else a
-            for a in spec.sense.aspects
-        )
-        return replace(spec, sense=replace(spec.sense, aspects=aspects))
+    if name in ("gamma", "d"):
+        return replace(spec, **{name: value})
     if name == "tau":
         if spec.mode.kind is not FairnessKind.AGENT_TAU:
             raise SweepError("tau axis requires agent_tau fairness mode")

@@ -1,16 +1,16 @@
-"""Utility functions of transcended agents.
+"""Utility of a two-player split for a transcended agent.
 
-Three layers: the general identity-weighted utility over arbitrary
-payoff vectors, its two-player closed form for the Ultimatum Game, and
-the fairness-filtered variant that pushes both shares through the
-perceived-payoff lens before weighting.
+The agent weighs its partner's share by gamma**d and averages it with
+its own: (own + w*partner)/(1 + w). The fairness-filtered variant first
+judges both shares against the threshold tau through the
+perceived-payoff lens.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
-from .identity import IdentityError, SenseOfSelf, attenuation, weight
+from .identity import weight
 from .payoff import PayoffLens, compile_lens
 
 
@@ -27,24 +27,6 @@ class Split:
     @property
     def partner_share(self) -> float:
         return 1.0 - self.own_share
-
-
-def ct_utility(sense: SenseOfSelf, payoffs: Mapping[str, float]) -> float:
-    """Attenuation-weighted average of the payoffs of all identified aspects.
-
-    ``payoffs`` must cover every aspect in the identity set; the result
-    lies between the smallest and largest entry.
-    """
-    missing = [a.id for a in sense.aspects if a.id not in payoffs]
-    if missing:
-        raise IdentityError(f"payoff vector missing aspects: {missing}")
-    num = 0.0
-    den = 0.0
-    for aspect in sense.aspects:
-        w = attenuation(sense, aspect.id)
-        num += w * payoffs[aspect.id]
-        den += w
-    return num / den
 
 
 def ug_kernel(
@@ -80,7 +62,7 @@ def fair_ug_utility(
     """Fairness-filtered two-player utility.
 
     Both shares are judged against the same threshold tau before the
-    attenuation-weighted average: (f(own-tau) + g^d*f(partner-tau))/(1+g^d).
+    weighted average: (f(own-tau) + g^d*f(partner-tau))/(1+g^d).
     ``own_tau`` optionally overrides the threshold applied to the agent's
     own share (off by default; the shipped behaviour uses one tau for
     both terms).

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import transcend_ug
 from transcend_ug.cli import run
 from transcend_ug.config import (
     ConfigFileError,
@@ -107,11 +108,24 @@ class TestCliExitCodes:
             ["game-grid", "--axis1-values", ""],
             ["game-grid", "--axis2-values", ""],
             ["utility-curves", "--curve-values", ","],
+            ["utility-curves", "--curve-param", "d", "--curve-values", "0.5,-1"],
+            ["game-grid", "--axis2", "recipient.d", "--axis2-values", "0.1,inf"],
+            ["acceptance-matrix", "--d-min", "-1"],
+            # a large tie tolerance must not let an uneven step through
+            ["tau-curves", "--tolerance", "0.5", "--d-step", "0.3", "--d-max", "1", "--gamma", "0.5"],
+            ["play", "--tolerance", "0.5", "--grid-step", "0.3"],
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["acceptance-matrix", "tau-curves", "utility-curves"])
+    def test_tiny_tolerance_keeps_default_axes(self, command, capsys):
+        assert run([command]) == 0
+        default = capsys.readouterr().out
+        assert run([command, "--tolerance", "1e-300"]) == 0
+        assert capsys.readouterr().out == default
 
 
 class TestPlayCommand:
@@ -188,3 +202,11 @@ class TestFilesAndPrecedence:
         assert run(argv + ["--output", str(out1)]) == 0
         assert run(argv + ["--output", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_every_export_resolves():
+    for name in transcend_ug.__all__:
+        assert getattr(transcend_ug, name) is not None, name
+    namespace = {}
+    exec("from transcend_ug import *", namespace)
+    assert set(transcend_ug.__all__) <= set(namespace)

@@ -66,8 +66,8 @@ class TestAxisValues:
 class TestWithParam:
     def test_gamma_and_distance(self):
         base = player(0.5, 1.0)
-        assert with_param(base, "gamma", 0.9).sense.gamma == 0.9
-        assert with_param(base, "d", 2.2).sense.partner_distance == 2.2
+        assert with_param(base, "gamma", 0.9).gamma == 0.9
+        assert with_param(base, "d", 2.2).d == 2.2
 
     def test_tau_requires_agent_mode(self):
         with pytest.raises(SweepError):
@@ -243,8 +243,9 @@ class TestGameGrid:
     @pytest.mark.parametrize(
         "axis1, error, match",
         [(("allocator.gamma", [0.5, 1.5]), IdentityError, r"gamma must lie in \[0,1\], got 1.5"),
-         (("allocator.tau", [0.2, 0.4]), SweepError, "requires agent_tau")],
-        ids=["gamma-out-of-range", "tau-axis-without-agent-tau"],
+         (("allocator.tau", [0.2, 0.4]), SweepError, "requires agent_tau"),
+         (("recipient.d", [0.1, math.inf]), IdentityError, "d must be finite and >= 0, got inf")],
+        ids=["gamma-out-of-range", "tau-axis-without-agent-tau", "distance-not-finite"],
     )
     def test_bad_axis_raises_before_any_fork(self, monkeypatch, workers, axis1, error, match):
         def no_fork():
@@ -253,7 +254,7 @@ class TestGameGrid:
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
         monkeypatch.setattr(os, "fork", no_fork, raising=False)
         with pytest.raises(error, match=match):
-            game_grid(player(), player(), GameConfig(), axis1, ("recipient.d", [0.1, 0.2]))
+            game_grid(player(), player(), GameConfig(), axis1, ("recipient.gamma", [0.1, 0.2]))
 
     @pytest.mark.parametrize("name1, values1, name2, values2", GRIDS)
     def test_one_scan_per_cell(self, monkeypatch, name1, values1, name2, values2):

@@ -1,15 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import oracle_fair_utility
-from transcend_ug.identity import IdentityError, SenseOfSelf
+from conftest import oracle_baseline_utility, oracle_fair_utility
 from transcend_ug.payoff import LensFamily, PayoffLens
-from transcend_ug.utility import (
-    Split,
-    baseline_ug_utility,
-    ct_utility,
-    fair_ug_utility,
-)
+from transcend_ug.utility import Split, baseline_ug_utility, fair_ug_utility
 
 EXP = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
 LINEAR = PayoffLens(LensFamily.LINEAR)
@@ -23,30 +17,6 @@ class TestSplit:
         for s in (-0.01, 1.01):
             with pytest.raises(ValueError):
                 Split(s)
-
-
-class TestCtUtility:
-    def test_self_only_identity(self):
-        sense = SenseOfSelf(0.7, (SenseOfSelf.two_party(0.7, 1.0).aspects[0],))
-        assert ct_utility(sense, {"self": 0.42}) == 0.42
-
-    def test_full_identification_averages(self):
-        sense = SenseOfSelf.two_party(1.0, 1.0)
-        assert ct_utility(sense, {"self": 0.8, "partner": 0.2}) == pytest.approx(0.5)
-
-    def test_hand_evaluated_example(self):
-        sense = SenseOfSelf.two_party(0.5, 1.0)
-        assert ct_utility(sense, {"self": 0.8, "partner": 0.2}) == pytest.approx(0.6, abs=1e-12)
-
-    def test_missing_aspect_rejected(self):
-        sense = SenseOfSelf.two_party(0.5, 1.0)
-        with pytest.raises(IdentityError, match="missing"):
-            ct_utility(sense, {"self": 0.8})
-
-    def test_result_within_payoff_range(self):
-        sense = SenseOfSelf.two_party(0.3, 1.7)
-        u = ct_utility(sense, {"self": 0.9, "partner": 0.1})
-        assert 0.1 <= u <= 0.9
 
 
 class TestBaselineUtility:
@@ -88,8 +58,7 @@ class TestFairUtility:
     st.floats(0.0, 1.0),
 )
 def test_baseline_consistent_with_general_ct_utility(gamma, d, own):
-    sense = SenseOfSelf.two_party(gamma, d)
-    expected = ct_utility(sense, {"self": own, "partner": 1.0 - own})
+    expected = oracle_baseline_utility(gamma, d, own)
     assert baseline_ug_utility(gamma, d, own, 1.0 - own) == pytest.approx(expected, abs=1e-12)
 
 
