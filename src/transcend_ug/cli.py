@@ -14,16 +14,10 @@ import logging
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
-from .config import (
-    ConfigFileError,
-    RunConfig,
-    dump_config,
-    load_config,
-    parse_value_list,
-)
+from .config import MAX_POINTS, PARAMS, ConfigFileError, RunConfig, dump_config, load_config, validate
 from .game import ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
@@ -82,86 +76,45 @@ def _write_output(text: str, path: str) -> None:
         raise
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="config file path")
-    p.add_argument("--output", help="output path, '-' for stdout")
-    p.add_argument("--format", choices=["csv", "json"], help="output format")
-    p.add_argument("--print-config", action="store_true", help="dump the effective config and exit")
-    g = p.add_argument_group("game")
-    g.add_argument("--grid-step", type=float)
-    g.add_argument("--accept-threshold", type=float)
-    g.add_argument("--tie-break", choices=["closest_to_equal", "lowest_own_share", "highest_own_share"])
-    g.add_argument("--tolerance", type=float)
-    g.add_argument("--own-tau-zero", action="store_const", const=True, default=None)
-    for role in ("allocator", "recipient"):
-        a = p.add_argument_group(role)
-        a.add_argument(f"--{role}-gamma", type=float)
-        a.add_argument(f"--{role}-d", type=float)
-        a.add_argument(f"--{role}-mode", choices=["baseline", "agent_tau", "association"])
-        a.add_argument(f"--{role}-tau", type=float)
-    pay = p.add_argument_group("payoff")
-    pay.add_argument("--payoff-family", choices=["linear", "exp_value"])
-    pay.add_argument("--payoff-k", type=float)
-    pay.add_argument("--payoff-lambda", type=float, dest="payoff_lam")
-    s = p.add_argument_group("sweep")
-    s.add_argument("--d-min", type=float)
-    s.add_argument("--d-max", type=float)
-    s.add_argument("--d-step", type=float)
-    s.add_argument("--split-step", type=float)
-    s.add_argument("--curve-param", choices=["d", "gamma", "tau"])
-    s.add_argument("--curve-values", help="comma-separated values for the curve family")
-    s.add_argument("--gamma", dest="gammas", help="comma-separated gamma list for tau-curves")
-    s.add_argument("--axis1")
-    s.add_argument("--axis1-values")
-    s.add_argument("--axis2")
-    s.add_argument("--axis2-values")
-
-
-# (args attribute, config section attr, field name) for every override
-_OVERRIDES = [
-    ("grid_step", "game", "grid_step"),
-    ("accept_threshold", "game", "accept_threshold"),
-    ("tie_break", "game", "tie_break"),
-    ("tolerance", "game", "tolerance"),
-    ("own_tau_zero", "game", "own_tau_zero"),
-    ("allocator_gamma", "allocator", "gamma"),
-    ("allocator_d", "allocator", "distance"),
-    ("allocator_mode", "allocator", "fairness_mode"),
-    ("allocator_tau", "allocator", "tau"),
-    ("recipient_gamma", "recipient", "gamma"),
-    ("recipient_d", "recipient", "distance"),
-    ("recipient_mode", "recipient", "fairness_mode"),
-    ("recipient_tau", "recipient", "tau"),
-    ("payoff_family", "payoff", "family"),
-    ("payoff_k", "payoff", "k"),
-    ("payoff_lam", "payoff", "lam"),
-    ("d_min", "sweep", "d_min"),
-    ("d_max", "sweep", "d_max"),
-    ("d_step", "sweep", "d_step"),
-    ("split_step", "sweep", "split_step"),
-    ("curve_param", "sweep", "curve_param"),
-    ("curve_values", "sweep", "curve_values"),
-    ("gammas", "sweep", "gammas"),
-    ("axis1", "sweep", "axis1"),
-    ("axis1_values", "sweep", "axis1_values"),
-    ("axis2", "sweep", "axis2"),
-    ("axis2_values", "sweep", "axis2_values"),
-    ("output", "output", "path"),
-    ("format", "output", "format"),
+# (parameter, argparse attribute of its flag, add_argument keywords), derived once
+_FLAGS = [
+    (p, p.flag[2:].replace("-", "_"),
+     {"action": "store_const", "const": True, "help": p.help} if p.type is bool
+     else {"type": p.type, "choices": p.choices, "help": p.help})
+    for p in PARAMS
 ]
 
 
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
-    for attr, section, fname in _OVERRIDES:
-        value = getattr(args, attr, None)
+    for p, dest, _ in _FLAGS:
+        value = getattr(args, dest)
         if value is not None:
-            setattr(getattr(cfg, section), fname, value)
-    # re-validate after overrides, reusing the file-level checks
-    from .config import _validate
-
-    _validate(cfg)
+            setattr(getattr(cfg, p.attr), p.name, value)
+    validate(cfg)
+    rows, paths = _rows(args.command, cfg)
+    if rows > MAX_POINTS:
+        raise ConfigFileError(
+            f"{args.command} would emit {rows} rows ({paths}), more than the limit of {MAX_POINTS}")
     return cfg
+
+
+def _rows(command: str, cfg: RunConfig) -> Tuple[int, str]:
+    """Rows a subcommand emits, counted before any axis is built, and the fields they come from."""
+    s = cfg.sweep
+    d_points = round((s.d_max - s.d_min) / s.d_step) + 1
+    if command == "utility-curves":
+        # the default distance curves are counted, not built
+        curves = d_points if s.curve_param == "d" and not s.curve_values.strip() else len(_curve_values(cfg))
+        return (curves + 2) * (cfg.game.game_config().grid_cells + 1), "sweep.curve_values x game.grid_step"
+    if command == "acceptance-matrix":
+        return d_points * (round(1.0 / s.split_step) + 1), "sweep.d_step x sweep.split_step"
+    if command == "tau-curves":
+        return len(s.values("gammas")) * d_points, "sweep.gammas x sweep.d_step"
+    if command == "game-grid":
+        rows = len(s.values("axis1_values")) * len(s.values("axis2_values"))
+        return rows, "sweep.axis1_values x sweep.axis2_values"
+    return 1, ""
 
 
 def _d_axis(cfg: RunConfig) -> List[float]:
@@ -174,13 +127,12 @@ def _split_axis(cfg: RunConfig) -> List[float]:
 
 
 def _curve_values(cfg: RunConfig) -> List[float]:
-    raw = cfg.sweep.curve_values.strip()
-    if raw:
-        return parse_value_list(raw, "sweep.curve_values")
+    if cfg.sweep.curve_values.strip():
+        return cfg.sweep.values("curve_values")
     if cfg.sweep.curve_param == "d":
         return _d_axis(cfg)
     if cfg.sweep.curve_param == "gamma":
-        return parse_value_list(cfg.sweep.gammas, "sweep.gammas")
+        return cfg.sweep.values("gammas")
     return [0.2, 0.5, 0.7]
 
 
@@ -215,7 +167,7 @@ def _cmd_acceptance_matrix(args: argparse.Namespace, cfg: RunConfig) -> str:
 
 
 def _cmd_tau_curves(args: argparse.Namespace, cfg: RunConfig) -> str:
-    gammas = parse_value_list(cfg.sweep.gammas, "sweep.gammas")
+    gammas = cfg.sweep.values("gammas")
     rows = sweep_mod.tau_curves(gammas, _d_axis(cfg))
     return _render(rows, CSV_HEADERS["tau-curves"], cfg.output.format)
 
@@ -226,8 +178,8 @@ def _cmd_game_grid(args: argparse.Namespace, cfg: RunConfig) -> str:
         cfg.player("allocator"),
         cfg.player("recipient"),
         cfg.game.game_config(),
-        (s.axis1, parse_value_list(s.axis1_values, "sweep.axis1_values")),
-        (s.axis2, parse_value_list(s.axis2_values, "sweep.axis2_values")),
+        (s.axis1, s.values("axis1_values")),
+        (s.axis2, s.values("axis2_values")),
     )
     return _render(rows, CSV_HEADERS["game-grid"], cfg.output.format)
 
@@ -241,7 +193,8 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
+    """The CLI parser. Given a subcommand's name, only that subcommand gets its flags."""
     parser = argparse.ArgumentParser(
         prog="transcend-ug",
         description="Deterministic Ultimatum Game simulator for transcended agents with fairness thresholds.",
@@ -249,20 +202,28 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        _add_common_flags(p)
-        if name == "play":
-            p.add_argument(
-                "--offer",
-                type=float,
-                default=None,
-                help="skip the allocator and evaluate this offered share directly",
-            )
+        if command not in _COMMANDS or command == name:
+            _add_flags(p, name)
     return parser
+
+
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
+    p.add_argument("--config", help="config file path")
+    p.add_argument("--print-config", action="store_true", help="dump the effective config and exit")
+    groups = {}
+    for param, _, kwargs in _FLAGS:
+        if param.attr not in groups:
+            groups[param.attr] = p.add_argument_group(param.attr)
+        groups[param.attr].add_argument(param.flag, **kwargs)
+    if command == "play":
+        p.add_argument("--offer", type=float,
+                       help="skip the allocator and evaluate this offered share directly")
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -4,47 +4,58 @@ The on-disk format is a flat INI-style file with sections ``game``,
 ``agent.allocator``, ``agent.recipient``, ``payoff``, ``sweep`` and
 ``output``. Parsing is strict: unknown sections or keys are errors, and
 every violation names the offending field path.
+
+Each section field describes its parameter once; its metadata adds only
+what the name cannot say (on-disk ``key``, ``flag``, ``help``,
+``choices``). Config keys, flags and ``dump_config`` derive from
+``PARAMS``. Range checks live in the domain constructors, which
+``validate`` builds once, naming their errors by config path.
 """
 from __future__ import annotations
 
 import configparser
 import io
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Dict, List
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .game import STEP_SLACK, GameConfig, TieBreak
-from .identity import FairnessMode, PlayerSpec
-from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensFamily, PayoffLens
+from .game import ConfigError, GameConfig, TieBreak
+from .identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
+from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens
 
 
 class ConfigFileError(ValueError):
     """Raised on unreadable, malformed, or invalid configuration."""
 
 
-FAIRNESS_MODES = ("baseline", "agent_tau", "association")
+# Most points on one step-built axis (game.grid_step, sweep.split_step,
+# sweep.d_step) and most rows one call may emit. The largest benchmarked
+# call emits 40,004 rows; a million rows still fit in memory.
+MAX_POINTS = 1_000_000
+
+
+def _param(default, key=None, flag=None, help=None, choices=None):
+    return field(default=default, metadata={"key": key, "flag": flag, "help": help, "choices": choices})
 
 
 @dataclass
 class AgentSection:
     gamma: float = 0.5
-    distance: float = 1.0
-    fairness_mode: str = "baseline"
+    distance: float = _param(1.0, flag="d")
+    fairness_mode: str = _param("baseline", flag="mode", choices=FairnessKind)
     tau: float = 0.5  # consulted only under agent_tau mode
 
     def mode(self) -> FairnessMode:
-        if self.fairness_mode == "baseline":
-            return FairnessMode.baseline()
-        if self.fairness_mode == "agent_tau":
-            return FairnessMode.agent_tau(self.tau)
-        return FairnessMode.association()
+        kind = FairnessKind(self.fairness_mode)
+        return FairnessMode(kind, self.tau if kind is FairnessKind.AGENT_TAU else None)
 
 
 @dataclass
 class PayoffSection:
-    family: str = "exp_value"
+    family: str = _param("exp_value", choices=LensFamily)
     k: float = DEFAULT_STEEPNESS
-    lam: float = DEFAULT_LOSS_AVERSION
+    lam: float = _param(DEFAULT_LOSS_AVERSION, key="lambda")  # 'lambda' is a keyword
 
     def lens(self) -> PayoffLens:
         return PayoffLens(LensFamily(self.family), loss_aversion=self.lam, steepness=self.k)
@@ -56,37 +67,36 @@ class SweepSection:
     d_max: float = 2.4
     d_step: float = 0.2
     split_step: float = 0.05
-    curve_param: str = "d"
-    curve_values: str = ""  # comma list; empty means mode-specific defaults
-    gammas: str = "0.2,0.4,0.6,0.8"
+    curve_param: str = _param("d", choices=("d", "gamma", "tau"))
+    # comma list; empty means mode-specific defaults
+    curve_values: str = _param("", help="comma-separated values for the curve family")
+    gammas: str = _param("0.2,0.4,0.6,0.8", flag="gamma", help="comma-separated gamma list for tau-curves")
     axis1: str = "allocator.gamma"
     axis1_values: str = "0.2,0.4,0.6,0.8"
     axis2: str = "recipient.gamma"
     axis2_values: str = "0.2,0.4,0.6,0.8"
 
+    def values(self, name: str) -> List[float]:
+        """One of the comma-list fields as numbers."""
+        return parse_value_list(getattr(self, name), f"sweep.{name}")
+
 
 @dataclass
 class OutputSection:
-    path: str = "-"
-    format: str = "csv"
+    path: str = _param("-", flag="output", help="output path, '-' for stdout")
+    format: str = _param("csv", choices=("csv", "json"), help="output format")
 
 
 @dataclass
 class GameSection:
     grid_step: float = 0.01
     accept_threshold: float = 0.0
-    tie_break: str = "closest_to_equal"
+    tie_break: str = _param("closest_to_equal", choices=TieBreak)
     tolerance: float = 1e-9
     own_tau_zero: bool = False
 
     def game_config(self) -> GameConfig:
-        return GameConfig(
-            grid_step=self.grid_step,
-            accept_threshold=self.accept_threshold,
-            tie_break=TieBreak(self.tie_break),
-            tolerance=self.tolerance,
-            own_tau_zero=self.own_tau_zero,
-        )
+        return GameConfig(**dict(vars(self), tie_break=TieBreak(self.tie_break)))
 
 
 @dataclass
@@ -100,101 +110,115 @@ class RunConfig:
 
     def player(self, role: str) -> PlayerSpec:
         section = self.allocator if role == "allocator" else self.recipient
-        return PlayerSpec.two_party(
-            section.gamma, section.distance, section.mode(), self.payoff.lens()
-        )
+        return PlayerSpec(section.gamma, section.distance, section.mode(), self.payoff.lens())
 
 
-# section name -> (dataclass attr on RunConfig, config key -> attr name)
-_SECTIONS: Dict[str, str] = {
-    "game": "game",
-    "agent.allocator": "allocator",
-    "agent.recipient": "recipient",
-    "payoff": "payoff",
-    "sweep": "sweep",
-    "output": "output",
-}
-# 'lambda' is a keyword, so the payoff section maps it onto 'lam'
-_KEY_ALIASES = {"payoff": {"lambda": "lam"}}
+class Param(NamedTuple):
+    """One config parameter, derived from its section field."""
+
+    path: str  # "agent.allocator.distance"
+    key: str  # on-disk key, "distance"
+    attr: str  # RunConfig attribute, "allocator"
+    name: str  # field name, "distance"
+    flag: str  # "--allocator-d"
+    type: type
+    choices: Optional[Tuple[str, ...]]
+    help: Optional[str]
 
 
-def _coerce(section: str, key: str, raw: str, target_type: type):
-    path = f"{section}.{key}"
-    if target_type is float:
+# on-disk section -> flag prefix; the RunConfig attribute is the last word
+_SECTIONS = {"game": "", "agent.allocator": "allocator-", "agent.recipient": "recipient-",
+             "payoff": "payoff-", "sweep": "", "output": ""}
+
+
+def _params() -> List[Param]:
+    out = []
+    for section, prefix in _SECTIONS.items():
+        attr = section.rpartition(".")[2]
+        for f in fields(getattr(RunConfig(), attr)):
+            meta = f.metadata
+            key = meta.get("key") or f.name
+            flag = "--" + prefix + (meta.get("flag") or key).replace("_", "-")
+            choices = meta.get("choices") and tuple(getattr(c, "value", c) for c in meta["choices"])
+            out.append(Param(f"{section}.{key}", key, attr, f.name, flag, type(f.default), choices,
+                             meta.get("help")))
+    return out
+
+
+PARAMS = _params()
+_BY_PATH: Dict[str, Param] = {p.path: p for p in PARAMS}
+_VALUE_LISTS = ("curve_values", "gammas", "axis1_values", "axis2_values")
+# domain constructor argument -> config key, where the two differ
+_DOMAIN_KEYS = {"d": "distance", "loss_aversion": "lambda", "steepness": "k"}
+
+
+def _coerce(p: Param, raw: str):
+    if p.type is float:
         try:
             return float(raw)
         except ValueError:
-            raise ConfigFileError(f"{path} must be a number, got {raw!r}")
-    if target_type is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("true", "1", "yes", "on"):
-            return True
-        if lowered in ("false", "0", "no", "off"):
-            return False
-        raise ConfigFileError(f"{path} must be a boolean, got {raw!r}")
+            raise ConfigFileError(f"{p.path} must be a number, got {raw!r}")
+    if p.type is bool:
+        value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
+        if value is None:
+            raise ConfigFileError(f"{p.path} must be a boolean, got {raw!r}")
+        return value
     return raw
 
 
-def _validate(cfg: RunConfig) -> None:
-    def check(cond: bool, message: str) -> None:
-        if not cond:
-            raise ConfigFileError(message)
+@contextmanager
+def _named(section: str):
+    """Report a domain constructor's error under the config path it concerns."""
+    try:
+        yield
+    except (ConfigError, IdentityError, LensConfigError) as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigFileError(f"{section}.{_DOMAIN_KEYS.get(name, name)} {rest}") from None
 
-    for section, attr in _SECTIONS.items():
-        for name, value in vars(getattr(cfg, attr)).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                key = {v: k for k, v in _KEY_ALIASES.get(section, {}).items()}.get(name, name)
-                raise ConfigFileError(f"{section}.{key} must be finite, got {value}")
 
-    g = cfg.game
-    check(0.0 < g.grid_step <= 0.5, f"game.grid_step must lie in (0, 0.5], got {g.grid_step}")
-    check(g.tolerance > 0.0, f"game.tolerance must be > 0, got {g.tolerance}")
-    check(
-        g.tie_break in [t.value for t in TieBreak],
-        f"game.tie_break must be one of {[t.value for t in TieBreak]}, got {g.tie_break!r}",
-    )
-    cells = 1.0 / g.grid_step
-    check(
-        abs(cells - round(cells)) <= STEP_SLACK * round(cells),
-        f"game.grid_step {g.grid_step} does not divide 1 evenly",
-    )
-    for role in ("allocator", "recipient"):
-        a: AgentSection = getattr(cfg, role)
-        prefix = f"agent.{role}"
-        check(0.0 <= a.gamma <= 1.0, f"{prefix}.gamma must lie in [0,1], got {a.gamma}")
-        check(a.distance >= 0.0, f"{prefix}.distance must be >= 0, got {a.distance}")
-        check(
-            a.fairness_mode in FAIRNESS_MODES,
-            f"{prefix}.fairness_mode must be one of {FAIRNESS_MODES}, got {a.fairness_mode!r}",
-        )
-        check(0.0 <= a.tau <= 1.0, f"{prefix}.tau must lie in [0,1], got {a.tau}")
-    p = cfg.payoff
-    check(
-        p.family in [f.value for f in LensFamily],
-        f"payoff.family must be one of {[f.value for f in LensFamily]}, got {p.family!r}",
-    )
-    if p.family == LensFamily.EXP_VALUE.value:
-        check(p.lam > 1.0, f"payoff.lambda must be > 1, got {p.lam}")
-        check(p.k > 0.0, f"payoff.k must be > 0, got {p.k}")
+def validate(cfg: RunConfig) -> None:
+    """Reject an invalid config, naming the config path of the first fault."""
+    for p in PARAMS:
+        value = getattr(getattr(cfg, p.attr), p.name)
+        if p.type is float and not math.isfinite(value):
+            raise ConfigFileError(f"{p.path} must be finite, got {value}")
+        if p.choices and value not in p.choices:
+            raise ConfigFileError(f"{p.path} must be one of {', '.join(p.choices)}; got {value!r}")
     s = cfg.sweep
-    check(s.d_max > s.d_min, f"sweep.d_max must exceed sweep.d_min, got [{s.d_min}, {s.d_max}]")
-    check(s.d_step > 0.0, f"sweep.d_step must be > 0, got {s.d_step}")
-    check(s.split_step > 0.0, f"sweep.split_step must be > 0, got {s.split_step}")
-    check(
-        s.curve_param in ("d", "gamma", "tau"),
-        f"sweep.curve_param must be one of d, gamma, tau; got {s.curve_param!r}",
-    )
-    check(
-        cfg.output.format in ("csv", "json"),
-        f"output.format must be csv or json, got {cfg.output.format!r}",
-    )
+    if not s.d_max > s.d_min:
+        raise ConfigFileError(f"sweep.d_max must exceed sweep.d_min, got [{s.d_min}, {s.d_max}]")
+    for name in ("d_step", "split_step"):
+        if not getattr(s, name) > 0.0:
+            raise ConfigFileError(f"sweep.{name} must be > 0, got {getattr(s, name)}")
+    # counted before any axis is built; a step <= 0 is named by its own check
+    axes = (("game.grid_step", 1.0, cfg.game.grid_step), ("sweep.split_step", 1.0, s.split_step),
+            ("sweep.d_step", s.d_max - s.d_min, s.d_step))
+    for path, span, step in axes:
+        points = span / step + 1.0 if step > 0.0 else 0.0
+        if points > MAX_POINTS:
+            raise ConfigFileError(
+                f"{path} {step} gives {points:.0f} points, more than the limit of {MAX_POINTS}")
+    for name in _VALUE_LISTS:
+        s.values(name)
+    with _named("game"):
+        cfg.game.game_config()
+    with _named("payoff"):
+        lens = cfg.payoff.lens()
+    for role in ("allocator", "recipient"):
+        a = getattr(cfg, role)
+        with _named(f"agent.{role}"):
+            FairnessMode.agent_tau(a.tau)  # range-checked in every mode, not only where consulted
+            PlayerSpec(a.gamma, a.distance, a.mode(), lens)
 
 
 def parse_value_list(raw: str, path: str) -> List[float]:
     try:
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = [float(tok) for tok in raw.split(",") if tok.strip()]
     except ValueError:
         raise ConfigFileError(f"{path} must be a comma-separated list of numbers, got {raw!r}")
+    if not all(map(math.isfinite, values)):
+        raise ConfigFileError(f"{path} must hold finite numbers, got {raw!r}")
+    return values
 
 
 def loads_config(text: str, source: str = "<config>") -> RunConfig:
@@ -207,16 +231,12 @@ def loads_config(text: str, source: str = "<config>") -> RunConfig:
     for section in parser.sections():
         if section not in _SECTIONS:
             raise ConfigFileError(f"unknown section [{section}] in {source}")
-        target = getattr(cfg, _SECTIONS[section])
-        aliases = _KEY_ALIASES.get(section, {})
-        attr_types = {f.name: f.type for f in fields(target)}
         for key, raw in parser.items(section):
-            attr = aliases.get(key, key)
-            if attr not in attr_types:
+            p = _BY_PATH.get(f"{section}.{key}")
+            if p is None:
                 raise ConfigFileError(f"unknown key {section}.{key} in {source}")
-            current = getattr(target, attr)
-            setattr(target, attr, _coerce(section, key, raw, type(current)))
-    _validate(cfg)
+            setattr(getattr(cfg, p.attr), p.name, _coerce(p, raw))
+    validate(cfg)
     return cfg
 
 
@@ -238,11 +258,10 @@ def dump_config(cfg: RunConfig) -> str:
         return repr(value) if isinstance(value, float) else str(value)
 
     buf = io.StringIO()
-    for section, attr in _SECTIONS.items():
-        target = getattr(cfg, attr)
-        aliases = {v: k for k, v in _KEY_ALIASES.get(section, {}).items()}
+    for section in _SECTIONS:
         buf.write(f"[{section}]\n")
-        for f in fields(target):
-            buf.write(f"{aliases.get(f.name, f.name)} = {fmt(getattr(target, f.name))}\n")
+        for p in PARAMS:
+            if p.path.rpartition(".")[0] == section:
+                buf.write(f"{p.key} = {fmt(getattr(getattr(cfg, p.attr), p.name))}\n")
         buf.write("\n")
     return buf.getvalue()

@@ -36,9 +36,9 @@ class FairnessMode:
     def __post_init__(self) -> None:
         if self.kind is FairnessKind.AGENT_TAU:
             if self.tau is None or not 0.0 <= self.tau <= 1.0:
-                raise IdentityError(f"agent_tau mode requires tau in [0,1], got {self.tau}")
+                raise IdentityError(f"tau must lie in [0,1], got {self.tau}")
         elif self.tau is not None:
-            raise IdentityError(f"{self.kind.value} mode takes no tau")
+            raise IdentityError(f"tau must be None for {self.kind.value} mode, got {self.tau}")
 
     @classmethod
     def baseline(cls) -> "FairnessMode":

@@ -1,10 +1,17 @@
+import configparser
+import contextlib
+import io
 import json
+import math
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import transcend_ug
 from transcend_ug.cli import run
 from transcend_ug.config import (
+    PARAMS,
     ConfigFileError,
     dump_config,
     load_config,
@@ -114,11 +121,54 @@ class TestCliExitCodes:
             # a large tie tolerance must not let an uneven step through
             ["tau-curves", "--tolerance", "0.5", "--d-step", "0.3", "--d-max", "1", "--gamma", "0.5"],
             ["play", "--tolerance", "0.5", "--grid-step", "0.3"],
+            # comma lists are parsed at resolution, whatever the subcommand
+            ["play", "--print-config", "--axis1-values", "nan"],
+            ["play", "--print-config", "--curve-values", "0.5,inf"],
+            ["play", "--gamma", "nan"],
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["play", "--grid-step", "1e-9"], "game.grid_step 1e-09 gives 1000000001 points"),
+            (["acceptance-matrix", "--split-step", "1e-9"], "sweep.split_step 1e-09 gives 1000000001 points"),
+            (["tau-curves", "--d-step", "1e-9"], "sweep.d_step 1e-09 gives 2400000001 points"),
+            (["play", "--print-config", "--d-step", "1e-9"], "sweep.d_step 1e-09 gives 2400000001 points"),
+            (["utility-curves", "--grid-step", "1e-5"], "utility-curves would emit 1500015 rows"),
+            (["acceptance-matrix", "--d-step", "0.0001", "--split-step", "0.001"],
+             "acceptance-matrix would emit 24025001 rows"),
+        ],
+    )
+    def test_oversized_axis_or_output_exits_2_before_building_it(self, argv, message, capsys, caplog):
+        # each of these would need far more memory than exists if it were built
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert message in caplog.text
+
+    @pytest.mark.parametrize(
+        "argv, path",
+        [
+            (["play", "--allocator-d", "-1"], "agent.allocator.distance"),
+            (["play", "--payoff-lambda", "0.5"], "payoff.lambda"),
+            (["play", "--payoff-k", "-1"], "payoff.k"),
+            (["play", "--recipient-gamma", "1.5"], "agent.recipient.gamma"),
+            (["play", "--allocator-tau", "2"], "agent.allocator.tau must lie in [0,1], got 2.0"),
+            (["play", "--recipient-tau", "-1", "--recipient-mode", "agent_tau"], "agent.recipient.tau must lie"),
+            (["play", "--grid-step", "0.7"], "game.grid_step"),
+            (["play", "--tolerance", "0"], "game.tolerance"),
+        ],
+    )
+    def test_constructor_range_error_names_config_path(self, argv, path, capsys, caplog):
+        assert run(argv) == 2
+        assert capsys.readouterr().out == ""
+        assert path in caplog.text
+
+    def test_linear_lens_skips_lambda_and_k(self, capsys):
+        assert run(["play", "--payoff-family", "linear", "--payoff-lambda", "0.5", "--payoff-k", "-3"]) == 0
 
     @pytest.mark.parametrize("command", ["acceptance-matrix", "tau-curves", "utility-curves"])
     def test_tiny_tolerance_keeps_default_axes(self, command, capsys):
@@ -210,3 +260,154 @@ def test_every_export_resolves():
     namespace = {}
     exec("from transcend_ug import *", namespace)
     assert set(transcend_ug.__all__) <= set(namespace)
+
+
+# Every config field, its flag, a valid value for it, and that value as
+# --print-config writes it (None: a switch that takes no value).
+FLAG_TABLE = {
+    "game.grid_step": ("--grid-step", "0.05", "0.05"),
+    "game.accept_threshold": ("--accept-threshold", "0.1", "0.1"),
+    "game.tie_break": ("--tie-break", "lowest_own_share", "lowest_own_share"),
+    "game.tolerance": ("--tolerance", "1e-8", "1e-08"),
+    "game.own_tau_zero": ("--own-tau-zero", None, "true"),
+    "agent.allocator.gamma": ("--allocator-gamma", "0.3", "0.3"),
+    "agent.allocator.distance": ("--allocator-d", "1.5", "1.5"),
+    "agent.allocator.fairness_mode": ("--allocator-mode", "agent_tau", "agent_tau"),
+    "agent.allocator.tau": ("--allocator-tau", "0.25", "0.25"),
+    "agent.recipient.gamma": ("--recipient-gamma", "0.7", "0.7"),
+    "agent.recipient.distance": ("--recipient-d", "2", "2.0"),
+    "agent.recipient.fairness_mode": ("--recipient-mode", "association", "association"),
+    "agent.recipient.tau": ("--recipient-tau", "0.4", "0.4"),
+    "payoff.family": ("--payoff-family", "linear", "linear"),
+    "payoff.k": ("--payoff-k", "12.5", "12.5"),
+    "payoff.lambda": ("--payoff-lambda", "2.5", "2.5"),
+    "sweep.d_min": ("--d-min", "0.1", "0.1"),
+    "sweep.d_max": ("--d-max", "2.1", "2.1"),
+    "sweep.d_step": ("--d-step", "0.5", "0.5"),
+    "sweep.split_step": ("--split-step", "0.1", "0.1"),
+    "sweep.curve_param": ("--curve-param", "gamma", "gamma"),
+    "sweep.curve_values": ("--curve-values", "0.1,0.2", "0.1,0.2"),
+    "sweep.gammas": ("--gamma", "0.3,0.5", "0.3,0.5"),
+    "sweep.axis1": ("--axis1", "allocator.d", "allocator.d"),
+    "sweep.axis1_values": ("--axis1-values", "0.5,1", "0.5,1"),
+    "sweep.axis2": ("--axis2", "recipient.tau", "recipient.tau"),
+    "sweep.axis2_values": ("--axis2-values", "0.2,0.3", "0.2,0.3"),
+    "output.path": ("--output", "out.csv", "out.csv"),
+    "output.format": ("--format", "json", "json"),
+}
+
+# The option strings each subcommand's --help listed before the flags
+# were derived from the config fields.
+HELP_OPTIONS = {
+    "-h", "--help", "--config", "--output", "--format", "--print-config",
+    "--grid-step", "--accept-threshold", "--tie-break", "--tolerance", "--own-tau-zero",
+    "--allocator-gamma", "--allocator-d", "--allocator-mode", "--allocator-tau",
+    "--recipient-gamma", "--recipient-d", "--recipient-mode", "--recipient-tau",
+    "--payoff-family", "--payoff-k", "--payoff-lambda",
+    "--d-min", "--d-max", "--d-step", "--split-step", "--curve-param", "--curve-values",
+    "--gamma", "--axis1", "--axis1-values", "--axis2", "--axis2-values",
+}
+
+
+class TestParameterTable:
+    def test_table_covers_every_field(self):
+        assert {p.path for p in PARAMS} == set(FLAG_TABLE)
+        assert {p.path: p.flag for p in PARAMS} == {path: row[0] for path, row in FLAG_TABLE.items()}
+
+    @pytest.mark.parametrize("path", sorted(FLAG_TABLE))
+    def test_flag_reaches_its_config_key(self, path, capsys):
+        flag, value, printed = FLAG_TABLE[path]
+        assert run(["play", flag] + ([value] if value is not None else []) + ["--print-config"]) == 0
+        text = capsys.readouterr().out
+        section, _, key = path.rpartition(".")
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read_string(text)
+        assert cp[section][key] == printed
+        assert dump_config(loads_config(text)) == text
+
+    @pytest.mark.parametrize(
+        "command", ["play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid"]
+    )
+    def test_help_lists_the_same_options(self, command, capsys):
+        assert run([command, "--help"]) == 0
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        assert listed == HELP_OPTIONS | ({"--offer"} if command == "play" else set())
+
+
+def _run_quiet(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = run(argv)
+    return rc, out.getvalue()
+
+
+def _floats(value):
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _floats(v)
+    elif isinstance(value, list):
+        for v in value:
+            yield from _floats(v)
+
+
+_player = st.fixed_dictionaries({
+    "gamma": st.floats(0.0, 1.0), "d": st.floats(0.0, 5.0),
+    "mode": st.sampled_from(["baseline", "agent_tau", "association"]), "tau": st.floats(0.0, 1.0),
+})
+
+
+@given(
+    alloc=_player, recip=_player,
+    step=st.sampled_from(["0.5", "0.25", "0.1", "0.05", "0.02"]),
+    family=st.sampled_from(["linear", "exp_value"]),
+    k=st.floats(0.5, 30.0), lam=st.floats(1.01, 5.0),
+    tie_break=st.sampled_from(["closest_to_equal", "lowest_own_share", "highest_own_share"]),
+    threshold=st.floats(-1.0, 1.0), own_tau_zero=st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_in_range_config_emits_only_finite_floats(alloc, recip, step, family, k, lam, tie_break,
+                                                   threshold, own_tau_zero):
+    # flag=value, so that argparse reads a value such as -2e-97 as a value
+    argv = [f"--grid-step={step}", f"--payoff-family={family}", f"--payoff-k={k!r}", f"--payoff-lambda={lam!r}",
+            f"--tie-break={tie_break}", f"--accept-threshold={threshold!r}", "--format=json"]
+    argv += ["--own-tau-zero"] if own_tau_zero else []
+    for role, p in (("allocator", alloc), ("recipient", recip)):
+        argv += [f"--{role}-gamma={p['gamma']!r}", f"--{role}-d={p['d']!r}",
+                 f"--{role}-mode={p['mode']}", f"--{role}-tau={p['tau']!r}"]
+    for command in (["play"], ["utility-curves", "--curve-values", "0,0.5,2"]):
+        rc, out = _run_quiet(command + argv)
+        assert rc == 0
+        emitted = list(_floats(json.loads(out)))
+        assert emitted and all(map(math.isfinite, emitted))
+
+
+_FLOAT_FLAGS = [p.flag for p in PARAMS if p.type is float]
+_LIST_FLAGS = ["--curve-values", "--gamma", "--axis1-values", "--axis2-values"]
+_bad_settings = st.one_of(
+    st.tuples(st.sampled_from(_FLOAT_FLAGS), st.sampled_from(["nan", "inf", "-inf"])),
+    st.tuples(st.sampled_from(_LIST_FLAGS), st.sampled_from(["nan", "0.5,inf", "-inf,0.2"])),
+    st.tuples(st.sampled_from(["--allocator-gamma", "--recipient-gamma", "--allocator-tau", "--recipient-tau"]),
+              st.sampled_from(["-0.1", "1.5"])),
+    st.tuples(st.sampled_from(["--allocator-d", "--recipient-d"]), st.sampled_from(["-1", "-1e-300"])),
+    st.tuples(st.sampled_from(["--tolerance", "--d-step", "--split-step", "--payoff-k"]),
+              st.sampled_from(["-1", "0"])),
+    st.tuples(st.just("--payoff-lambda"), st.sampled_from(["1", "0.5"])),
+    st.tuples(st.just("--grid-step"), st.sampled_from(["0", "0.7", "0.03"])),
+    st.tuples(st.just("--d-max"), st.sampled_from(["0", "-1"])),
+    # over the point budget: rejected before any axis is built
+    st.tuples(st.sampled_from(["--grid-step", "--split-step", "--d-step"]),
+              st.floats(1e-300, 1e-6).map(repr)),
+)
+
+
+@given(
+    command=st.sampled_from(["play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid"]),
+    bad=_bad_settings, print_config=st.booleans(),
+)
+@settings(max_examples=80, deadline=None)
+def test_invalid_config_exits_2_with_empty_stdout(command, bad, print_config):
+    flag, value = bad
+    rc, out = _run_quiet([command, f"{flag}={value}"] + (["--print-config"] if print_config else []))
+    assert (rc, out) == (2, "")
