@@ -27,36 +27,24 @@ log = logging.getLogger("transcend_ug")
 
 _CONFIG_ERRORS = (ConfigFileError, ConfigError, SweepError, LensConfigError, IdentityError)
 
-CSV_HEADERS = {
-    "utility-curves": ["curve_param", "curve_value", "split", "utility", "is_best_split", "is_min_acceptable"],
-    "acceptance-matrix": ["d", "split", "accepted"],
-    "tau-curves": ["gamma", "d", "tau"],
-    "game-grid": ["axis1", "axis2", "proposed_split", "accepted"],
-}
+
+def _rounded(record: Dict[str, object]) -> Dict[str, object]:
+    """A record with every float rounded to the 6 decimals of the output."""
+    return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in record.items()}
 
 
-def _fmt_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, float):
-        return f"{value:.6f}"
-    return str(value)
+def _render(rows: List[Dict[str, object]], fmt: str) -> str:
+    """Rows as CSV or JSON; the columns are the first row's keys, in order.
 
-
-def _render(rows: List[Dict[str, object]], header: List[str], fmt: str) -> str:
+    Every sweep rejects an empty axis, so ``rows[0]`` always exists. A
+    float cell gets 6 decimals, ``None`` is empty in CSV and ``null`` in
+    JSON, and any other cell is written as ``str`` gives it.
+    """
     if fmt == "json":
-        out = []
-        for row in rows:
-            rounded = {
-                key: (round(v, 6) if isinstance(v, float) else v)
-                for key, v in ((k, row[k]) for k in header)
-            }
-            out.append(rounded)
-        return json.dumps(out, indent=None, separators=(",", ":")) + "\n"
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt_cell(row[k]) for k in header) for row in rows)
+        return json.dumps([_rounded(row) for row in rows], separators=(",", ":")) + "\n"
+    lines = [",".join(rows[0])]
+    lines += (",".join(f"{v:.6f}" if isinstance(v, float) else "" if v is None else str(v) for v in row.values())
+              for row in rows)
     return "\n".join(lines) + "\n"
 
 
@@ -119,11 +107,11 @@ def _rows(command: str, cfg: RunConfig) -> Tuple[int, str]:
 
 def _d_axis(cfg: RunConfig) -> List[float]:
     s = cfg.sweep
-    return axis_values(s.d_min, s.d_max, s.d_step)
+    return axis_values(s.d_min, s.d_max, s.d_step, "sweep.d_step")
 
 
 def _split_axis(cfg: RunConfig) -> List[float]:
-    return axis_values(0.0, 1.0, cfg.sweep.split_step)
+    return axis_values(0.0, 1.0, cfg.sweep.split_step, "sweep.split_step")
 
 
 def _curve_values(cfg: RunConfig) -> List[float]:
@@ -139,11 +127,7 @@ def _curve_values(cfg: RunConfig) -> List[float]:
 def _cmd_play(args: argparse.Namespace, cfg: RunConfig) -> str:
     game_cfg = cfg.game.game_config()
     outcome = play(cfg.player("allocator"), cfg.player("recipient"), game_cfg, offer=args.offer)
-    record = {
-        k: (round(v, 6) if isinstance(v, float) else v)
-        for k, v in outcome.to_record().items()
-    }
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    return json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n"
 
 
 def _cmd_utility_curves(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -153,7 +137,7 @@ def _cmd_utility_curves(args: argparse.Namespace, cfg: RunConfig) -> str:
         cfg.sweep.curve_param,
         _curve_values(cfg),
     )
-    return _render(rows, CSV_HEADERS["utility-curves"], cfg.output.format)
+    return _render(rows, cfg.output.format)
 
 
 def _cmd_acceptance_matrix(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -163,13 +147,13 @@ def _cmd_acceptance_matrix(args: argparse.Namespace, cfg: RunConfig) -> str:
         _d_axis(cfg),
         _split_axis(cfg),
     )
-    return _render(rows, CSV_HEADERS["acceptance-matrix"], cfg.output.format)
+    return _render(rows, cfg.output.format)
 
 
 def _cmd_tau_curves(args: argparse.Namespace, cfg: RunConfig) -> str:
     gammas = cfg.sweep.values("gammas")
     rows = sweep_mod.tau_curves(gammas, _d_axis(cfg))
-    return _render(rows, CSV_HEADERS["tau-curves"], cfg.output.format)
+    return _render(rows, cfg.output.format)
 
 
 def _cmd_game_grid(args: argparse.Namespace, cfg: RunConfig) -> str:
@@ -181,7 +165,7 @@ def _cmd_game_grid(args: argparse.Namespace, cfg: RunConfig) -> str:
         (s.axis1, s.values("axis1_values")),
         (s.axis2, s.values("axis2_values")),
     )
-    return _render(rows, CSV_HEADERS["game-grid"], cfg.output.format)
+    return _render(rows, cfg.output.format)
 
 
 _COMMANDS = {

@@ -23,6 +23,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 from .game import ConfigError, GameConfig, TieBreak
 from .identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
 from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens
+from .sweep import with_param
 
 
 class ConfigFileError(ValueError):
@@ -61,6 +62,10 @@ class PayoffSection:
         return PayoffLens(LensFamily(self.family), loss_aversion=self.lam, steepness=self.k)
 
 
+# the player parameters a game-grid axis may vary
+_AXES = tuple(f"{role}.{param}" for role in ("allocator", "recipient") for param in ("gamma", "d", "tau"))
+
+
 @dataclass
 class SweepSection:
     d_min: float = 0.0
@@ -71,9 +76,9 @@ class SweepSection:
     # comma list; empty means mode-specific defaults
     curve_values: str = _param("", help="comma-separated values for the curve family")
     gammas: str = _param("0.2,0.4,0.6,0.8", flag="gamma", help="comma-separated gamma list for tau-curves")
-    axis1: str = "allocator.gamma"
+    axis1: str = _param("allocator.gamma", choices=_AXES)
     axis1_values: str = "0.2,0.4,0.6,0.8"
-    axis2: str = "recipient.gamma"
+    axis2: str = _param("recipient.gamma", choices=_AXES)
     axis2_values: str = "0.2,0.4,0.6,0.8"
 
     def values(self, name: str) -> List[float]:
@@ -147,7 +152,6 @@ def _params() -> List[Param]:
 
 PARAMS = _params()
 _BY_PATH: Dict[str, Param] = {p.path: p for p in PARAMS}
-_VALUE_LISTS = ("curve_values", "gammas", "axis1_values", "axis2_values")
 # domain constructor argument -> config key, where the two differ
 _DOMAIN_KEYS = {"d": "distance", "loss_aversion": "lambda", "steepness": "k"}
 
@@ -167,13 +171,17 @@ def _coerce(p: Param, raw: str):
 
 
 @contextmanager
-def _named(section: str):
-    """Report a domain constructor's error under the config path it concerns."""
+def _named(section: str, key: Optional[str] = None):
+    """Report a domain constructor's error under the config path it concerns.
+
+    The path is ``section.key``; given no key, the key is the error's
+    first word, the constructor argument it concerns.
+    """
     try:
         yield
     except (ConfigError, IdentityError, LensConfigError) as exc:
         name, _, rest = str(exc).partition(" ")
-        raise ConfigFileError(f"{section}.{_DOMAIN_KEYS.get(name, name)} {rest}") from None
+        raise ConfigFileError(f"{section}.{key or _DOMAIN_KEYS.get(name, name)} {rest}") from None
 
 
 def validate(cfg: RunConfig) -> None:
@@ -198,8 +206,6 @@ def validate(cfg: RunConfig) -> None:
         if points > MAX_POINTS:
             raise ConfigFileError(
                 f"{path} {step} gives {points:.0f} points, more than the limit of {MAX_POINTS}")
-    for name in _VALUE_LISTS:
-        s.values(name)
     with _named("game"):
         cfg.game.game_config()
     with _named("payoff"):
@@ -209,6 +215,18 @@ def validate(cfg: RunConfig) -> None:
         with _named(f"agent.{role}"):
             FairnessMode.agent_tau(a.tau)  # range-checked in every mode, not only where consulted
             PlayerSpec(a.gamma, a.distance, a.mode(), lens)
+    # Each sweep entry sets one player parameter and is range-checked here as
+    # that parameter, in every mode. The probe is an agent_tau player, so the
+    # check that a tau axis meets an agent_tau player stays in the sweep.
+    probe = PlayerSpec(0.0, 0.0, FairnessMode.agent_tau(0.0), lens)
+    with _named("sweep", "d_min"):
+        with_param(probe, "d", s.d_min)
+    lists = {"gammas": "gamma", "curve_values": s.curve_param,
+             "axis1_values": s.axis1.partition(".")[2], "axis2_values": s.axis2.partition(".")[2]}
+    for name, param in lists.items():
+        with _named("sweep", name):
+            for value in s.values(name):
+                with_param(probe, param, value)
 
 
 def parse_value_list(raw: str, path: str) -> List[float]:

@@ -22,6 +22,10 @@ log = logging.getLogger(__name__)
 # is fixed: the tie tolerance must not decide which grids exist.
 STEP_SLACK = 1e-9
 
+# Largest tie window and acceptance slack. It is a float-comparison slack,
+# so it stays within the last printed digit (6 decimals) of every output.
+MAX_TOLERANCE = 1e-6
+
 
 class TieBreak(enum.Enum):
     CLOSEST_TO_EQUAL = "closest_to_equal"
@@ -52,8 +56,8 @@ class GameConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.grid_step <= 0.5:
             raise ConfigError(f"grid_step must lie in (0, 0.5], got {self.grid_step}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0.0):
-            raise ConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if not 0.0 < self.tolerance <= MAX_TOLERANCE:
+            raise ConfigError(f"tolerance must lie in (0, {MAX_TOLERANCE}], got {self.tolerance}")
         if not math.isfinite(self.accept_threshold):
             raise ConfigError(f"accept_threshold must be finite, got {self.accept_threshold}")
         cells = 1.0 / self.grid_step

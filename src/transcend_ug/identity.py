@@ -78,6 +78,11 @@ def weight(gamma: float, d: float) -> float:
     return 1.0 if d == 0.0 else gamma ** d
 
 
+def association_tau(gamma: float, d: float) -> float:
+    """Association-derived threshold 1 - gamma**d."""
+    return 1.0 - weight(gamma, d)
+
+
 def effective_tau(player: PlayerSpec) -> float:
     """Fairness threshold the player applies toward its partner.
 
@@ -91,4 +96,4 @@ def effective_tau(player: PlayerSpec) -> float:
     if mode.kind is FairnessKind.AGENT_TAU:
         assert mode.tau is not None
         return mode.tau
-    return 1.0 - weight(player.gamma, player.d)
+    return association_tau(player.gamma, player.d)

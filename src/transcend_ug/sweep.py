@@ -10,11 +10,10 @@ from __future__ import annotations
 import marshal
 import math
 import os
-from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .game import STEP_SLACK, GameConfig, accepts, compile_player, play, scan
-from .identity import FairnessKind, FairnessMode, PlayerSpec, weight
+from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -24,8 +23,8 @@ class SweepError(ValueError):
     """Raised on malformed sweep axes."""
 
 
-def axis_values(lo: float, hi: float, step: float) -> List[float]:
-    """Inclusive arithmetic grid from lo to hi; step must divide the span."""
+def axis_values(lo: float, hi: float, step: float, name: str = "step") -> List[float]:
+    """Inclusive arithmetic grid from lo to hi; step, named ``name`` in errors, must divide the span."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise SweepError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
     if not (hi > lo and step > 0.0):
@@ -33,18 +32,20 @@ def axis_values(lo: float, hi: float, step: float) -> List[float]:
     span = (hi - lo) / step
     n = round(span)
     if abs(span - n) > STEP_SLACK * max(1, n):
-        raise SweepError(f"step {step} does not divide the span [{lo}, {hi}] evenly")
+        raise SweepError(f"{name} {step} does not divide the span [{lo}, {hi}] evenly")
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
 def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
     """Copy of a player spec with one of {gamma, d, tau} replaced."""
-    if name in ("gamma", "d"):
-        return replace(spec, **{name: value})
+    if name == "gamma":
+        return PlayerSpec(value, spec.d, spec.mode, spec.lens)
+    if name == "d":
+        return PlayerSpec(spec.gamma, value, spec.mode, spec.lens)
     if name == "tau":
         if spec.mode.kind is not FairnessKind.AGENT_TAU:
             raise SweepError("tau axis requires agent_tau fairness mode")
-        return replace(spec, mode=FairnessMode.agent_tau(value))
+        return PlayerSpec(spec.gamma, spec.d, FairnessMode.agent_tau(value), spec.lens)
     raise SweepError(f"unknown player parameter {name!r}")
 
 
@@ -70,34 +71,17 @@ def utility_curves(
     if not grid or not all(0.0 <= s <= 1.0 for s in grid):
         raise SweepError("split axis must be non-empty and lie in [0,1]")
 
-    def one_curve(value: float) -> List[Dict[str, object]]:
+    rows, families = [], []
+    for value in curve_values:
         result = scan(compile_player(with_param(base, curve_param, value), cfg), cfg, grid)
-        return [
-            {
-                "curve_param": curve_param,
-                "curve_value": value,
-                "split": s,
-                "utility": u,
-                "is_best_split": int(s == result.best),
-                "is_min_acceptable": int(s == result.min_acceptable),
-            }
-            for s, u in zip(grid, result.utilities)
-        ]
-
-    curves = [one_curve(value) for value in curve_values]
-    rows = [row for curve in curves for row in curve]
+        families.append(result.utilities)
+        rows.extend({"curve_param": curve_param, "curve_value": value, "split": s, "utility": u,
+                     "is_best_split": int(s == result.best), "is_min_acceptable": int(s == result.min_acceptable)}
+                    for s, u in zip(grid, result.utilities))
     for name, agg in ((ENVELOPE_MIN, min), (ENVELOPE_MAX, max)):
-        for i, s in enumerate(grid):
-            rows.append(
-                {
-                    "curve_param": name,
-                    "curve_value": None,
-                    "split": s,
-                    "utility": agg(curve[i]["utility"] for curve in curves),
-                    "is_best_split": 0,
-                    "is_min_acceptable": 0,
-                }
-            )
+        rows.extend({"curve_param": name, "curve_value": None, "split": s, "utility": agg(utilities),
+                     "is_best_split": 0, "is_min_acceptable": 0}
+                    for s, utilities in zip(grid, zip(*families)))
     return rows
 
 
@@ -119,7 +103,7 @@ def acceptance_matrix(
 
 
 def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[str, object]]:
-    """Association-derived threshold 1 - gamma**d per (gamma, distance)."""
+    """Association-derived threshold per (gamma, distance)."""
     if not gammas or not d_values:
         raise SweepError("tau-curve axes must be non-empty")
     for g in gammas:
@@ -129,7 +113,7 @@ def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[
         if not (math.isfinite(d) and d >= 0.0):
             raise SweepError(f"tau-curve distance must be finite and >= 0, got {d}")
     return [
-        {"gamma": g, "d": d, "tau": 1.0 - weight(g, d)}
+        {"gamma": g, "d": d, "tau": association_tau(g, d)}
         for g in sorted(gammas)
         for d in sorted(d_values)
     ]

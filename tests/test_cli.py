@@ -4,6 +4,7 @@ import io
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -125,6 +126,12 @@ class TestCliExitCodes:
             ["play", "--print-config", "--axis1-values", "nan"],
             ["play", "--print-config", "--curve-values", "0.5,inf"],
             ["play", "--gamma", "nan"],
+            # sweep entries are range-checked at resolution, whatever the subcommand
+            ["play", "--print-config", "--gamma", "1.5"],
+            ["play", "--print-config", "--curve-values", "-1"],
+            ["play", "--print-config", "--axis1", "bogus.x"],
+            # the largest tie tolerance must not let an uneven step through either
+            ["play", "--tolerance", "1e-6", "--grid-step", "0.3"],
         ],
     )
     def test_non_finite_or_out_of_range_value_exits_2(self, argv, capsys):
@@ -160,12 +167,30 @@ class TestCliExitCodes:
             (["play", "--recipient-tau", "-1", "--recipient-mode", "agent_tau"], "agent.recipient.tau must lie"),
             (["play", "--grid-step", "0.7"], "game.grid_step"),
             (["play", "--tolerance", "0"], "game.tolerance"),
+            (["game-grid", "--axis1", "allocator.gamma", "--axis1-values", "0.5,1.5",
+              "--axis2", "recipient.d", "--axis2-values", "0.1,0.2"], "sweep.axis1_values must lie in [0,1]"),
+            (["tau-curves", "--gamma", "1.5"], "sweep.gammas must lie in [0,1]"),
+            (["play", "--print-config", "--axis2", "recipient.tau", "--axis2-values", "0.5,2"],
+             "sweep.axis2_values must lie in [0,1]"),
+            (["acceptance-matrix", "--d-min", "-1"], "sweep.d_min must be finite and >= 0"),
+            (["acceptance-matrix", "--split-step", "0.3"], "sweep.split_step 0.3 does not divide"),
+            (["tau-curves", "--d-step", "0.5"], "sweep.d_step 0.5 does not divide"),
+            (["play", "--tolerance", "100", "--recipient-mode", "agent_tau", "--recipient-tau", "0.9"],
+             "game.tolerance must lie in (0, 1e-06]"),
         ],
     )
     def test_constructor_range_error_names_config_path(self, argv, path, capsys, caplog):
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
         assert path in caplog.text
+
+    def test_largest_tolerance_is_accepted(self, capsys):
+        argv = ["play", "--recipient-mode", "agent_tau", "--recipient-tau", "0.9"]
+        assert run(argv) == 0
+        default = capsys.readouterr().out
+        assert run(argv + ["--tolerance", "1e-6"]) == 0
+        assert capsys.readouterr().out == default
+        assert json.loads(default)["accepted"] is False
 
     def test_linear_lens_skips_lambda_and_k(self, capsys):
         assert run(["play", "--payoff-family", "linear", "--payoff-lambda", "0.5", "--payoff-k", "-3"]) == 0
@@ -222,6 +247,23 @@ class TestTauCurvesCommand:
             {"gamma": 1.0, "d": 0.5, "tau": 0.0},
             {"gamma": 1.0, "d": 1.0, "tau": 0.0},
         ]
+
+
+def test_every_output_has_the_readme_columns(capsys):
+    # the README's "CSV schemas" table and its play bullet are the only
+    # written copies of the columns; the CLI takes them from the sweep rows
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    tables = {name: header.split(",") for name, header in re.findall(r"^\| `([a-z-]+)` +\| `([^`]+)` \|$", text, re.M)}
+    assert set(tables) == {"utility-curves", "acceptance-matrix", "tau-curves", "game-grid"}
+    for command, columns in tables.items():
+        assert run([command]) == 0
+        assert capsys.readouterr().out.splitlines()[0].split(",") == columns
+        assert run([command, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)
+        assert rows and all(list(row) == columns for row in rows)
+    record = re.search(r"^\* `play` prints one JSON record: (.*?)\.", text, re.M | re.S).group(1)
+    assert run(["play"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == re.findall(r"`(\w+)`", record)
 
 
 class TestFilesAndPrecedence:
@@ -394,6 +436,10 @@ _bad_settings = st.one_of(
     st.tuples(st.sampled_from(["--tolerance", "--d-step", "--split-step", "--payoff-k"]),
               st.sampled_from(["-1", "0"])),
     st.tuples(st.just("--payoff-lambda"), st.sampled_from(["1", "0.5"])),
+    st.tuples(st.just("--tolerance"), st.just("100")),
+    # a sweep entry outside the range of the parameter it sets
+    st.tuples(st.sampled_from(["--gamma", "--axis1-values", "--axis2-values", "--curve-values", "--d-min"]),
+              st.sampled_from(["-1", "-0.1,0.5"])),
     st.tuples(st.just("--grid-step"), st.sampled_from(["0", "0.7", "0.03"])),
     st.tuples(st.just("--d-max"), st.sampled_from(["0", "-1"])),
     # over the point budget: rejected before any axis is built

@@ -43,7 +43,7 @@ class TestGameConfig:
                 GameConfig(grid_step=step)
 
     def test_tolerance_positive(self):
-        for tolerance in (0.0, math.inf, math.nan):
+        for tolerance in (0.0, math.inf, math.nan, 2e-6, 100.0):
             with pytest.raises(ConfigError):
                 GameConfig(tolerance=tolerance)
 

@@ -8,6 +8,7 @@ from transcend_ug.identity import (
     FairnessMode,
     IdentityError,
     PlayerSpec,
+    association_tau,
     effective_tau,
     weight,
 )
@@ -57,6 +58,11 @@ class TestFairnessMode:
     def test_association_examples(self):
         mode = FairnessMode.association()
         assert effective_tau(two_party(0.5, 1.0, mode)) == 0.5
+
+    @pytest.mark.parametrize("gamma, d", [(0.5, 1.0), (0.0, 0.0), (0.37, 2.4), (1.0, 0.7)])
+    def test_association_threshold_is_one_formula(self, gamma, d):
+        assert association_tau(gamma, d) == 1.0 - weight(gamma, d)
+        assert effective_tau(two_party(gamma, d, FairnessMode.association())) == association_tau(gamma, d)
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.0, 2.4), st.floats(0.01, 2.0))

@@ -17,7 +17,7 @@ from transcend_ug.game import (
     play,
     utility_of_split,
 )
-from transcend_ug.identity import FairnessMode, IdentityError
+from transcend_ug.identity import FairnessMode, IdentityError, association_tau
 from transcend_ug.payoff import LensFamily, PayoffLens
 from transcend_ug.sweep import (
     ENVELOPE_MAX,
@@ -175,6 +175,10 @@ class TestTauCurves:
     def test_full_identification_flatlines(self):
         rows = tau_curves([1.0], axis_values(0.0, 2.4, 0.2))
         assert all(r["tau"] == 0.0 for r in rows)
+
+    def test_threshold_is_the_association_tau(self):
+        rows = tau_curves([0.2, 0.45], axis_values(0.0, 2.4, 0.2))
+        assert all(r["tau"] == association_tau(r["gamma"], r["d"]) for r in rows)
 
     def test_lower_gamma_dominates(self):
         rows = tau_curves([0.2, 0.8], axis_values(0.0, 2.4, 0.2))
