@@ -193,6 +193,8 @@ def validate(cfg: RunConfig) -> None:
         if p.choices and value not in p.choices:
             raise ConfigFileError(f"{p.path} must be one of {', '.join(p.choices)}; got {value!r}")
     s = cfg.sweep
+    if s.axis1 == s.axis2:
+        raise ConfigFileError(f"sweep.axis2 must differ from sweep.axis1, both are {s.axis1}")
     if not s.d_max > s.d_min:
         raise ConfigFileError(f"sweep.d_max must exceed sweep.d_min, got [{s.d_min}, {s.d_max}]")
     for name in ("d_step", "split_step"):

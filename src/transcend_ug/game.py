@@ -1,7 +1,7 @@
 """The Ultimatum Game engine.
 
-The allocator scans a discretized grid of splits and proposes the one
-maximizing its own utility; the recipient accepts any offer whose
+The allocator searches a discretized grid of splits and proposes the
+one maximizing its own utility; the recipient accepts any offer whose
 utility clears the acceptance threshold (0 by default). Everything is
 deterministic: same specs, same outcome, bit for bit.
 """
@@ -11,7 +11,8 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
 from .utility import Split, ug_kernel
@@ -25,6 +26,11 @@ STEP_SLACK = 1e-9
 # Largest tie window and acceptance slack. It is a float-comparison slack,
 # so it stays within the last printed digit (6 decimals) of every output.
 MAX_TOLERANCE = 1e-6
+
+# Slack on a block's utility bound in ``argmax``: the bound is one kernel
+# call at other arguments than the block's points, so rounding can put it
+# a few ulps below the best of them.
+BOUND_SLACK = 1e-12
 
 
 class TieBreak(enum.Enum):
@@ -153,19 +159,48 @@ class Scan(NamedTuple):
     min_acceptable: Optional[float]  # first share whose utility clears the threshold
 
 
+def _best(points: Iterable[Tuple[float, float]], top: float, cfg: GameConfig) -> float:
+    """The tie-break's pick among (share, utility) points within ``cfg.tolerance`` of ``top``."""
+    return _break_ties([s for s, u in points if u >= top - cfg.tolerance], cfg.tie_break)
+
+
 def scan(utility: Utility, cfg: GameConfig, grid: Sequence[float]) -> Scan:
     """Evaluate a compiled utility at each own share of a non-empty grid."""
     utilities = [utility(s, 1.0 - s) for s in grid]
     top = max(utilities)
-    ties = [s for s, u in zip(grid, utilities) if u >= top - cfg.tolerance]
     min_acc = next((s for s, u in zip(grid, utilities) if cfg.clears(u)), None)
-    return Scan(utilities, top, _break_ties(ties, cfg.tie_break), min_acc)
+    return Scan(utilities, top, _best(zip(grid, utilities), top, cfg), min_acc)
+
+
+def argmax(utility: Utility, cfg: GameConfig, grid: Sequence[float]) -> Tuple[float, float]:
+    """``(best, top)`` of ``scan`` over a sorted, non-empty grid, evaluating only what can win.
+
+    A compiled utility rises in the own share and in the partner's (every
+    lens is increasing and the weight is >= 0), so over a block of shares
+    [lo, hi] no point exceeds ``utility(hi, 1 - lo)``. The grid is cut
+    into blocks of about sqrt(n) shares, and the blocks are evaluated in
+    descending order of that bound until the bound falls below the tie
+    window of the best utility so far. A skipped point can neither be the
+    top nor tie with it, so the answer is exact.
+    """
+    size = max(1, math.isqrt(len(grid)))
+    blocks = [grid[i:i + size] for i in range(0, len(grid), size)]
+    bounded = sorted(((utility(b[-1], 1.0 - b[0]), b) for b in blocks), key=itemgetter(0), reverse=True)
+    points: List[Tuple[float, float]] = []
+    top = -math.inf
+    for bound, block in bounded:
+        if bound < top - cfg.tolerance - BOUND_SLACK:
+            break
+        utilities = [utility(s, 1.0 - s) for s in block]
+        points.extend(zip(block, utilities))
+        top = max(top, *utilities)
+    return _best(points, top, cfg), top
 
 
 def best_split(player: PlayerSpec, cfg: GameConfig) -> Tuple[Split, float]:
     """Utility-maximizing own share over the split grid, ties broken per config."""
-    result = scan(compile_player(player, cfg), cfg, cfg.splits())
-    return Split(result.best), result.top
+    best, top = argmax(compile_player(player, cfg), cfg, cfg.splits())
+    return Split(best), top
 
 
 def accepts(player: PlayerSpec, cfg: GameConfig, offered: float) -> bool:
@@ -195,7 +230,7 @@ def play(
     u_alloc = compile_player(allocator, cfg)
     u_recip = compile_player(recipient, cfg)
     if offer is None:
-        proposal = Split(scan(u_alloc, cfg, cfg.splits()).best)
+        proposal = Split(argmax(u_alloc, cfg, cfg.splits())[0])
         offered = proposal.partner_share
     else:
         if not 0.0 <= offer <= 1.0:

@@ -61,7 +61,8 @@ def utility_curves(
     Each row holds (curve_param, curve_value, split, utility) plus marker
     flags for the utility-maximizing split (post tie-break) and the first
     split clearing the acceptance threshold. Two envelope pseudo-curves
-    carry the pointwise min/max over the family.
+    carry the pointwise min/max over the family. Every utility is
+    emitted, so each curve is a full ``game.scan``, not a pruned argmax.
     """
     if curve_param not in ("d", "gamma", "tau"):
         raise SweepError(f"curve parameter must be one of d, gamma, tau; got {curve_param!r}")
@@ -129,11 +130,11 @@ def game_grid(
     """Settled game per cell of two varied player parameters.
 
     Axis names take the form ``allocator.gamma`` or ``recipient.d``. Each
-    cell is one ``play`` of its pair, so a call costs one allocator scan
-    per cell whichever parameters its axes vary. The rows are split into
-    one contiguous chunk per usable CPU, and every chunk but the first is
-    played in a forked child; the rows come back in order, so the output
-    does not depend on the number of CPUs.
+    cell is one ``play`` of its pair, so a call costs one allocator
+    ``game.argmax`` per cell whichever parameters its axes vary. The rows
+    are split into one contiguous chunk per usable CPU, and every chunk
+    but the first is played in a forked child; the rows come back in
+    order, so the output does not depend on the number of CPUs.
     """
 
     def apply(alloc: PlayerSpec, recip: PlayerSpec, name: str, value: float):

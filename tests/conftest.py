@@ -8,6 +8,12 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
+from hypothesis import settings
+
+# A longer run for CI: pytest --hypothesis-profile=ci. Tests that fix their
+# own max_examples keep it; the default profile is left as it is.
+settings.register_profile("ci", max_examples=2000, deadline=None)
+
 
 def oracle_f(delta: float, k: float, lam: float) -> float:
     if delta >= 0:

@@ -177,6 +177,10 @@ class TestCliExitCodes:
             (["tau-curves", "--d-step", "0.5"], "sweep.d_step 0.5 does not divide"),
             (["play", "--tolerance", "100", "--recipient-mode", "agent_tau", "--recipient-tau", "0.9"],
              "game.tolerance must lie in (0, 1e-06]"),
+            (["play", "--print-config", "--axis1", "allocator.gamma", "--axis2", "allocator.gamma"],
+             "sweep.axis2 must differ from sweep.axis1"),
+            (["game-grid", "--axis1", "allocator.gamma", "--axis2", "allocator.gamma"],
+             "sweep.axis2 must differ from sweep.axis1"),
         ],
     )
     def test_constructor_range_error_names_config_path(self, argv, path, capsys, caplog):

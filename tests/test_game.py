@@ -5,14 +5,18 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility
 from transcend_ug.game import (
+    MAX_TOLERANCE,
     ConfigError,
     GameConfig,
     PlayerSpec,
     TieBreak,
     accepts,
+    argmax,
     best_split,
+    compile_player,
     min_acceptable_split,
     play,
+    scan,
     utility_of_split,
 )
 from transcend_ug.identity import FairnessMode
@@ -124,6 +128,84 @@ class TestBestSplit:
         lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=3.0, steepness=2.0)
         split, _ = best_split(agent_tau(0.5, 0.0, 0.7, lens), GameConfig(grid_step=0.02))
         assert split.own_share == 0.3
+
+
+def counted(utility, calls):
+    def wrapper(own, partner):
+        calls.append((own, partner))
+        return utility(own, partner)
+
+    return wrapper
+
+
+class TestArgmax:
+    def test_flat_utility_evaluates_every_block(self):
+        # Baseline at d = 0 gives every split the same utility: each block's
+        # bound ties the top, so no block may be skipped.
+        cfg = GameConfig()
+        grid = cfg.splits()
+        utility = compile_player(baseline(0.5, 0.0), cfg)
+        for rule, expected in [
+            (TieBreak.CLOSEST_TO_EQUAL, 0.5),
+            (TieBreak.LOWEST_OWN_SHARE, 0.0),
+            (TieBreak.HIGHEST_OWN_SHARE, 1.0),
+        ]:
+            rule_cfg = GameConfig(tie_break=rule)
+            calls = []
+            full = scan(utility, rule_cfg, grid)
+            assert argmax(counted(utility, calls), rule_cfg, grid) == (full.best, full.top)
+            assert full.best == expected
+            assert {(s, 1.0 - s) for s in grid} <= set(calls)
+            assert len(calls) == len(grid) + 11  # plus one bound per block of 10
+
+    def test_mirror_tie_resolves_to_lower_share(self):
+        lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=3.0, steepness=2.0)
+        cfg = GameConfig(grid_step=0.02)
+        utility = compile_player(agent_tau(0.5, 0.0, 0.7, lens), cfg)
+        full = scan(utility, cfg, cfg.splits())
+        assert argmax(utility, cfg, cfg.splits()) == (full.best, full.top)
+        assert full.best == 0.3
+
+    def test_skips_blocks_that_cannot_win(self):
+        cfg = GameConfig()
+        calls = []
+        utility = compile_player(PlayerSpec(0.4, 1.0, FairnessMode.agent_tau(0.2), PayoffLens()), cfg)
+        full = scan(utility, cfg, cfg.splits())
+        assert argmax(counted(utility, calls), cfg, cfg.splits()) == (full.best, full.top)
+        assert len(calls) < len(cfg.splits()) / 2  # 31 of 101
+
+
+LENSES = st.one_of(
+    st.just(PayoffLens(LensFamily.LINEAR)),
+    st.builds(PayoffLens, st.just(LensFamily.EXP_VALUE), st.floats(1.01, 10.0), st.floats(0.1, 50.0)),
+)
+MODES = st.one_of(
+    st.just(FairnessMode.baseline()),
+    st.builds(FairnessMode.agent_tau, st.floats(0.0, 1.0)),
+    st.just(FairnessMode.association()),
+)
+
+
+# No max_examples here, so that CI's --hypothesis-profile=ci can raise it.
+@given(
+    st.floats(0.0, 1.0),
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),
+    MODES,
+    LENSES,
+    st.builds(
+        GameConfig,
+        grid_step=st.sampled_from([0.5, 0.25, 0.1, 0.05, 0.02, 0.01, 0.001]),
+        accept_threshold=st.floats(-1.0, 1.0),
+        tie_break=st.sampled_from(list(TieBreak)),
+        tolerance=st.floats(1e-15, MAX_TOLERANCE),
+        own_tau_zero=st.booleans(),
+    ),
+)
+@settings(deadline=None)
+def test_pruned_argmax_equals_full_scan(gamma, d, mode, lens, cfg):
+    utility = compile_player(PlayerSpec(gamma, d, mode, lens), cfg)
+    full = scan(utility, cfg, cfg.splits())
+    assert argmax(utility, cfg, cfg.splits()) == (full.best, full.top)
 
 
 class TestMinAcceptableSplit:

@@ -268,13 +268,13 @@ class TestGameGrid:
         cfg = GameConfig(grid_step=0.02)
         # Scans in a forked child are not seen here, so play every row in this process.
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
-        calls, scan = [], game.scan
+        calls, argmax = [], game.argmax
 
-        def counted_scan(*args, **kwargs):
+        def counted_argmax(*args, **kwargs):
             calls.append(1)
-            return scan(*args, **kwargs)
+            return argmax(*args, **kwargs)
 
-        monkeypatch.setattr(game, "scan", counted_scan)
+        monkeypatch.setattr(game, "argmax", counted_argmax)
         rows = game_grid(allocator, recipient, cfg, (name1, values1), (name2, values2))
         assert len(rows) == len(values1) * len(values2)
         assert len(calls) == len(rows)
