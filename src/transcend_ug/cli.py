@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
 from .config import MAX_POINTS, PARAMS, ConfigFileError, RunConfig, dump_config, load_config, validate
@@ -73,108 +73,64 @@ _FLAGS = [
 ]
 
 
-def _effective_config(args: argparse.Namespace) -> RunConfig:
+Table = Callable[[], List[Dict[str, object]]]  # builds a table subcommand's rows
+
+
+def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Optional[Table]]:
+    """The validated config and, for a table subcommand, the sweep call that builds its rows."""
     cfg = load_config(args.config) if args.config else RunConfig()
     for p, dest, _ in _FLAGS:
         value = getattr(args, dest)
         if value is not None:
             setattr(getattr(cfg, p.attr), p.name, value)
     validate(cfg)
-    rows, paths = _rows(args.command, cfg)
+    if args.command == "play":
+        return cfg, None
+    rows, fields, build = _table(args.command, cfg)
     if rows > MAX_POINTS:
         raise ConfigFileError(
-            f"{args.command} would emit {rows} rows ({paths}), more than the limit of {MAX_POINTS}")
-    return cfg
+            f"{args.command} would emit {rows} rows ({fields}), more than the limit of {MAX_POINTS}")
+    return cfg, build
 
 
-def _rows(command: str, cfg: RunConfig) -> Tuple[int, str]:
-    """Rows a subcommand emits, counted before any axis is built, and the fields they come from."""
-    s = cfg.sweep
+def _table(command: str, cfg: RunConfig) -> Tuple[int, str, Table]:
+    """A table subcommand's row count, the config fields it comes from, and the call that builds the rows.
+
+    The count is arithmetic: no step-built axis exists until the call runs.
+    """
+    s, game = cfg.sweep, cfg.game.game_config()
     d_points = round((s.d_max - s.d_min) / s.d_step) + 1
+
+    def d_axis() -> List[float]:
+        return axis_values(s.d_min, s.d_max, s.d_step, "sweep.d_step")
+
     if command == "utility-curves":
-        # the default distance curves are counted, not built
-        curves = d_points if s.curve_param == "d" and not s.curve_values.strip() else len(_curve_values(cfg))
-        return (curves + 2) * (cfg.game.game_config().grid_cells + 1), "sweep.curve_values x game.grid_step"
+        # an empty list means the parameter's default family; None stands for the distance axis
+        if s.curve_values.strip():
+            values = s.values("curve_values")
+        elif s.curve_param == "d":
+            values = None
+        else:
+            values = s.values("gammas") if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
+        curves = d_points if values is None else len(values)
+        return ((curves + 2) * (game.grid_cells + 1), "sweep.curve_values x game.grid_step",
+                lambda: sweep_mod.utility_curves(cfg.player("allocator"), game, s.curve_param,
+                                                 d_axis() if values is None else values))
     if command == "acceptance-matrix":
-        return d_points * (round(1.0 / s.split_step) + 1), "sweep.d_step x sweep.split_step"
+        return (d_points * (round(1.0 / s.split_step) + 1), "sweep.d_step x sweep.split_step",
+                lambda: sweep_mod.acceptance_matrix(cfg.player("recipient"), game, d_axis(),
+                                                    axis_values(0.0, 1.0, s.split_step, "sweep.split_step")))
     if command == "tau-curves":
-        return len(s.values("gammas")) * d_points, "sweep.gammas x sweep.d_step"
-    if command == "game-grid":
-        rows = len(s.values("axis1_values")) * len(s.values("axis2_values"))
-        return rows, "sweep.axis1_values x sweep.axis2_values"
-    return 1, ""
+        gammas = s.values("gammas")
+        return (len(gammas) * d_points, "sweep.gammas x sweep.d_step",
+                lambda: sweep_mod.tau_curves(gammas, d_axis()))
+    axis1, axis2 = s.values("axis1_values"), s.values("axis2_values")
+    return (len(axis1) * len(axis2), "sweep.axis1_values x sweep.axis2_values",
+            lambda: sweep_mod.game_grid(cfg.player("allocator"), cfg.player("recipient"), game,
+                                        (s.axis1, axis1), (s.axis2, axis2)))
 
 
-def _d_axis(cfg: RunConfig) -> List[float]:
-    s = cfg.sweep
-    return axis_values(s.d_min, s.d_max, s.d_step, "sweep.d_step")
-
-
-def _split_axis(cfg: RunConfig) -> List[float]:
-    return axis_values(0.0, 1.0, cfg.sweep.split_step, "sweep.split_step")
-
-
-def _curve_values(cfg: RunConfig) -> List[float]:
-    if cfg.sweep.curve_values.strip():
-        return cfg.sweep.values("curve_values")
-    if cfg.sweep.curve_param == "d":
-        return _d_axis(cfg)
-    if cfg.sweep.curve_param == "gamma":
-        return cfg.sweep.values("gammas")
-    return [0.2, 0.5, 0.7]
-
-
-def _cmd_play(args: argparse.Namespace, cfg: RunConfig) -> str:
-    game_cfg = cfg.game.game_config()
-    outcome = play(cfg.player("allocator"), cfg.player("recipient"), game_cfg, offer=args.offer)
-    return json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n"
-
-
-def _cmd_utility_curves(args: argparse.Namespace, cfg: RunConfig) -> str:
-    rows = sweep_mod.utility_curves(
-        cfg.player("allocator"),
-        cfg.game.game_config(),
-        cfg.sweep.curve_param,
-        _curve_values(cfg),
-    )
-    return _render(rows, cfg.output.format)
-
-
-def _cmd_acceptance_matrix(args: argparse.Namespace, cfg: RunConfig) -> str:
-    rows = sweep_mod.acceptance_matrix(
-        cfg.player("recipient"),
-        cfg.game.game_config(),
-        _d_axis(cfg),
-        _split_axis(cfg),
-    )
-    return _render(rows, cfg.output.format)
-
-
-def _cmd_tau_curves(args: argparse.Namespace, cfg: RunConfig) -> str:
-    gammas = cfg.sweep.values("gammas")
-    rows = sweep_mod.tau_curves(gammas, _d_axis(cfg))
-    return _render(rows, cfg.output.format)
-
-
-def _cmd_game_grid(args: argparse.Namespace, cfg: RunConfig) -> str:
-    s = cfg.sweep
-    rows = sweep_mod.game_grid(
-        cfg.player("allocator"),
-        cfg.player("recipient"),
-        cfg.game.game_config(),
-        (s.axis1, s.values("axis1_values")),
-        (s.axis2, s.values("axis2_values")),
-    )
-    return _render(rows, cfg.output.format)
-
-
-_COMMANDS = {
-    "play": _cmd_play,
-    "utility-curves": _cmd_utility_curves,
-    "acceptance-matrix": _cmd_acceptance_matrix,
-    "tau-curves": _cmd_tau_curves,
-    "game-grid": _cmd_game_grid,
-}
+_SUBCOMMANDS = ("play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid")
 
 
 def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
@@ -184,9 +140,9 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
         description="Deterministic Ultimatum Game simulator for transcended agents with fairness thresholds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
-        if command not in _COMMANDS or command == name:
+        if command not in _SUBCOMMANDS or command == name:
             _add_flags(p, name)
     return parser
 
@@ -213,11 +169,16 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg = _effective_config(args)
+        cfg, table = _effective_config(args)
         if args.print_config:
             sys.stdout.write(dump_config(cfg))
             return 0
-        text = _COMMANDS[args.command](args, cfg)
+        if table is None:
+            game = cfg.game.game_config()
+            outcome = play(cfg.player("allocator"), cfg.player("recipient"), game, offer=args.offer)
+            text = json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n"
+        else:
+            text = _render(table(), cfg.output.format)
         _write_output(text, cfg.output.path)
         return 0
     except _CONFIG_ERRORS as exc:

@@ -11,8 +11,9 @@ import enum
 import logging
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
 from .utility import Split, ug_kernel
@@ -74,10 +75,14 @@ class GameConfig:
     def grid_cells(self) -> int:
         return round(1.0 / self.grid_step)
 
-    def splits(self) -> List[float]:
-        """The split grid {0, step, ..., 1}."""
+    @cached_property
+    def _splits(self) -> List[float]:
         n = self.grid_cells
         return [i / n for i in range(n + 1)]
+
+    def splits(self) -> List[float]:
+        """The split grid {0, step, ..., 1}, built on first use and shared: callers must not change it."""
+        return self._splits
 
     def snap(self, share: float) -> float:
         """Round a share to the nearest grid point, warning when off-grid."""
@@ -164,16 +169,17 @@ def _best(points: Iterable[Tuple[float, float]], top: float, cfg: GameConfig) ->
     return _break_ties([s for s, u in points if u >= top - cfg.tolerance], cfg.tie_break)
 
 
-def scan(utility: Utility, cfg: GameConfig, grid: Sequence[float]) -> Scan:
-    """Evaluate a compiled utility at each own share of a non-empty grid."""
+def scan(utility: Utility, cfg: GameConfig) -> Scan:
+    """Evaluate a compiled utility at each own share of the split grid."""
+    grid = cfg.splits()
     utilities = [utility(s, 1.0 - s) for s in grid]
     top = max(utilities)
     min_acc = next((s for s, u in zip(grid, utilities) if cfg.clears(u)), None)
     return Scan(utilities, top, _best(zip(grid, utilities), top, cfg), min_acc)
 
 
-def argmax(utility: Utility, cfg: GameConfig, grid: Sequence[float]) -> Tuple[float, float]:
-    """``(best, top)`` of ``scan`` over a sorted, non-empty grid, evaluating only what can win.
+def argmax(utility: Utility, cfg: GameConfig) -> Tuple[float, float]:
+    """``(best, top)`` of ``scan`` over the split grid, evaluating only what can win.
 
     A compiled utility rises in the own share and in the partner's (every
     lens is increasing and the weight is >= 0), so over a block of shares
@@ -183,6 +189,7 @@ def argmax(utility: Utility, cfg: GameConfig, grid: Sequence[float]) -> Tuple[fl
     window of the best utility so far. A skipped point can neither be the
     top nor tie with it, so the answer is exact.
     """
+    grid = cfg.splits()
     size = max(1, math.isqrt(len(grid)))
     blocks = [grid[i:i + size] for i in range(0, len(grid), size)]
     bounded = sorted(((utility(b[-1], 1.0 - b[0]), b) for b in blocks), key=itemgetter(0), reverse=True)
@@ -199,7 +206,7 @@ def argmax(utility: Utility, cfg: GameConfig, grid: Sequence[float]) -> Tuple[fl
 
 def best_split(player: PlayerSpec, cfg: GameConfig) -> Tuple[Split, float]:
     """Utility-maximizing own share over the split grid, ties broken per config."""
-    best, top = argmax(compile_player(player, cfg), cfg, cfg.splits())
+    best, top = argmax(compile_player(player, cfg), cfg)
     return Split(best), top
 
 
@@ -215,7 +222,7 @@ def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Optional[Split]
     are U-shaped); this is the locus where the utility first clears the
     acceptance threshold.
     """
-    share = scan(compile_player(player, cfg), cfg, cfg.splits()).min_acceptable
+    share = scan(compile_player(player, cfg), cfg).min_acceptable
     return None if share is None else Split(share)
 
 
@@ -230,7 +237,7 @@ def play(
     u_alloc = compile_player(allocator, cfg)
     u_recip = compile_player(recipient, cfg)
     if offer is None:
-        proposal = Split(argmax(u_alloc, cfg, cfg.splits())[0])
+        proposal = Split(argmax(u_alloc, cfg)[0])
         offered = proposal.partner_share
     else:
         if not 0.0 <= offer <= 1.0:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import marshal
 import math
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from .game import STEP_SLACK, GameConfig, accepts, compile_player, play, scan
+from .game import STEP_SLACK, GameConfig, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
+from .payoff import PayoffLens
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -54,7 +55,6 @@ def utility_curves(
     cfg: GameConfig,
     curve_param: str,
     curve_values: Sequence[float],
-    splits: Optional[Sequence[float]] = None,
 ) -> List[Dict[str, object]]:
     """One utility curve per value of the varied parameter.
 
@@ -68,13 +68,10 @@ def utility_curves(
         raise SweepError(f"curve parameter must be one of d, gamma, tau; got {curve_param!r}")
     if not curve_values:
         raise SweepError("curve values must be non-empty")
-    grid = list(splits) if splits is not None else cfg.splits()
-    if not grid or not all(0.0 <= s <= 1.0 for s in grid):
-        raise SweepError("split axis must be non-empty and lie in [0,1]")
 
-    rows, families = [], []
+    grid, rows, families = cfg.splits(), [], []
     for value in curve_values:
-        result = scan(compile_player(with_param(base, curve_param, value), cfg), cfg, grid)
+        result = scan(compile_player(with_param(base, curve_param, value), cfg), cfg)
         families.append(result.utilities)
         rows.extend({"curve_param": curve_param, "curve_value": value, "split": s, "utility": u,
                      "is_best_split": int(s == result.best), "is_min_acceptable": int(s == result.min_acceptable)}
@@ -95,24 +92,26 @@ def acceptance_matrix(
     """Accept/reject flag for every (distance, offered split) cell."""
     if not d_values or not splits:
         raise SweepError("matrix axes must be non-empty")
-
-    def one_row(d: float) -> List[Dict[str, object]]:
-        player = with_param(recipient, "d", d)
-        return [{"d": d, "split": s, "accepted": int(accepts(player, cfg, s))} for s in sorted(splits)]
-
-    return [cell for d in sorted(d_values) for cell in one_row(d)]
+    shares = sorted(splits)
+    for s in shares:
+        if not 0.0 <= s <= 1.0:
+            raise SweepError(f"offered split must lie in [0,1], got {s}")
+    rows = []
+    for d in sorted(d_values):
+        utility = compile_player(with_param(recipient, "d", d), cfg)
+        rows.extend({"d": d, "split": s, "accepted": int(cfg.clears(utility(s, 1.0 - s)))} for s in shares)
+    return rows
 
 
 def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[str, object]]:
-    """Association-derived threshold per (gamma, distance)."""
+    """Association-derived threshold per (gamma, distance); ``PlayerSpec`` checks each gamma and d once."""
     if not gammas or not d_values:
         raise SweepError("tau-curve axes must be non-empty")
+    mode, lens = FairnessMode.association(), PayoffLens()
     for g in gammas:
-        if not 0.0 <= g <= 1.0:
-            raise SweepError(f"tau-curve gamma must lie in [0,1], got {g}")
+        PlayerSpec(g, 0.0, mode, lens)
     for d in d_values:
-        if not (math.isfinite(d) and d >= 0.0):
-            raise SweepError(f"tau-curve distance must be finite and >= 0, got {d}")
+        PlayerSpec(0.0, d, mode, lens)
     return [
         {"gamma": g, "d": d, "tau": association_tau(g, d)}
         for g in sorted(gammas)

@@ -2,14 +2,17 @@ import configparser
 import contextlib
 import io
 import json
+import logging
+import logging.handlers
 import math
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import transcend_ug
+from transcend_ug import cli
 from transcend_ug.cli import run
 from transcend_ug.config import (
     PARAMS,
@@ -461,3 +464,56 @@ def test_invalid_config_exits_2_with_empty_stdout(command, bad, print_config):
     flag, value = bad
     rc, out = _run_quiet([command, f"{flag}={value}"] + (["--print-config"] if print_config else []))
     assert (rc, out) == (2, "")
+
+
+def _run_logged(argv):
+    """Exit code, stdout and the logged messages of one CLI call."""
+    handler, logger = logging.handlers.BufferingHandler(100), logging.getLogger("transcend_ug")
+    logger.addHandler(handler)
+    try:
+        rc, out = _run_quiet(argv)
+    finally:
+        logger.removeHandler(handler)
+    return rc, out, [r.getMessage() for r in handler.buffer]
+
+
+_AXES = ["allocator.gamma", "allocator.d", "allocator.tau", "recipient.gamma", "recipient.d", "recipient.tau"]
+_values = st.lists(st.sampled_from(["0.0", "0.25", "0.5", "1.0"]), min_size=1, max_size=3).map(",".join)
+# utility-curves with an empty curve list, which means the curve parameter's default family
+_DEFAULT_CURVES = dict(command="utility-curves", grid_step="0.1", d_axis=(0.0, 0.2, 6), split_step="0.5",
+                       curve_values="", gammas="0.0,0.25,0.5", axes=_AXES, axis_values=("0.5", "0.5"))
+
+
+@given(
+    command=st.sampled_from(["utility-curves", "acceptance-matrix", "tau-curves", "game-grid"]),
+    grid_step=st.sampled_from(["0.5", "0.25", "0.1", "0.05"]),
+    d_axis=st.tuples(st.sampled_from([0.0, 0.5]), st.sampled_from([0.2, 0.25, 0.5]), st.integers(1, 6)),
+    split_step=st.sampled_from(["0.5", "0.25", "0.2", "0.1", "0.05"]),
+    curve_param=st.sampled_from(["d", "gamma", "tau"]),
+    curve_values=st.one_of(st.just(""), _values),
+    gammas=_values,
+    axes=st.permutations(_AXES),
+    axis_values=st.tuples(_values, _values),
+)
+@example(curve_param="d", **_DEFAULT_CURVES)
+@example(curve_param="gamma", **_DEFAULT_CURVES)
+@example(curve_param="tau", **_DEFAULT_CURVES)
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
+def test_counted_rows_are_the_emitted_rows(command, grid_step, d_axis, split_step, curve_param,
+                                           curve_values, gammas, axes, axis_values):
+    d_min, d_step, steps = d_axis
+    argv = [command, f"--grid-step={grid_step}", f"--d-min={d_min!r}", f"--d-max={d_min + d_step * steps!r}",
+            f"--d-step={d_step!r}", f"--split-step={split_step}", f"--curve-param={curve_param}",
+            f"--curve-values={curve_values}", f"--gamma={gammas}", f"--axis1={axes[0]}", f"--axis2={axes[1]}",
+            f"--axis1-values={axis_values[0]}", f"--axis2-values={axis_values[1]}",
+            "--allocator-mode=agent_tau", "--recipient-mode=agent_tau"]
+    rc, out, _ = _run_logged(argv)
+    assert rc == 0
+    emitted = len(out.splitlines()) - 1
+    # one row over the bound: exit 2 with nothing written, --print-config too
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "MAX_POINTS", emitted - 1)
+        for extra in ([], ["--print-config"]):
+            rc, out, messages = _run_logged(argv + extra)
+            assert (rc, out) == (2, "")
+            assert any(f"{command} would emit {emitted} rows" in m for m in messages)

@@ -60,6 +60,10 @@ class TestGameConfig:
         grid = GameConfig(grid_step=0.25).splits()
         assert grid == [0.0, 0.25, 0.5, 0.75, 1.0]
 
+    def test_splits_built_once(self):
+        cfg = GameConfig(grid_step=0.25)
+        assert cfg.splits() is cfg.splits()
+
     def test_snap_warns_on_off_grid(self, caplog):
         cfg = GameConfig(grid_step=0.05)
         with caplog.at_level("WARNING"):
@@ -152,8 +156,8 @@ class TestArgmax:
         ]:
             rule_cfg = GameConfig(tie_break=rule)
             calls = []
-            full = scan(utility, rule_cfg, grid)
-            assert argmax(counted(utility, calls), rule_cfg, grid) == (full.best, full.top)
+            full = scan(utility, rule_cfg)
+            assert argmax(counted(utility, calls), rule_cfg) == (full.best, full.top)
             assert full.best == expected
             assert {(s, 1.0 - s) for s in grid} <= set(calls)
             assert len(calls) == len(grid) + 11  # plus one bound per block of 10
@@ -162,16 +166,16 @@ class TestArgmax:
         lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=3.0, steepness=2.0)
         cfg = GameConfig(grid_step=0.02)
         utility = compile_player(agent_tau(0.5, 0.0, 0.7, lens), cfg)
-        full = scan(utility, cfg, cfg.splits())
-        assert argmax(utility, cfg, cfg.splits()) == (full.best, full.top)
+        full = scan(utility, cfg)
+        assert argmax(utility, cfg) == (full.best, full.top)
         assert full.best == 0.3
 
     def test_skips_blocks_that_cannot_win(self):
         cfg = GameConfig()
         calls = []
         utility = compile_player(PlayerSpec(0.4, 1.0, FairnessMode.agent_tau(0.2), PayoffLens()), cfg)
-        full = scan(utility, cfg, cfg.splits())
-        assert argmax(counted(utility, calls), cfg, cfg.splits()) == (full.best, full.top)
+        full = scan(utility, cfg)
+        assert argmax(counted(utility, calls), cfg) == (full.best, full.top)
         assert len(calls) < len(cfg.splits()) / 2  # 31 of 101
 
 
@@ -204,8 +208,8 @@ MODES = st.one_of(
 @settings(deadline=None)
 def test_pruned_argmax_equals_full_scan(gamma, d, mode, lens, cfg):
     utility = compile_player(PlayerSpec(gamma, d, mode, lens), cfg)
-    full = scan(utility, cfg, cfg.splits())
-    assert argmax(utility, cfg, cfg.splits()) == (full.best, full.top)
+    full = scan(utility, cfg)
+    assert argmax(utility, cfg) == (full.best, full.top)
 
 
 class TestMinAcceptableSplit:

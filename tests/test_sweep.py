@@ -81,13 +81,6 @@ class TestWithParam:
 
 
 class TestUtilityCurves:
-    def test_degenerate_single_cell(self):
-        rows = utility_curves(player(0.5, 1.0), GameConfig(), "d", [1.0], splits=[1.0])
-        data = [r for r in rows if r["curve_param"] == "d"]
-        assert len(data) == 1
-        assert data[0]["utility"] == pytest.approx(2.0 / 3.0)
-        assert data[0]["is_best_split"] == 1
-
     def test_baseline_gamma_family_markers(self):
         rows = utility_curves(player(0.5, 1.0), GameConfig(), "gamma", [0.2, 0.5, 0.8, 1.0])
         best = {
@@ -166,6 +159,25 @@ class TestAcceptanceMatrix:
         with pytest.raises(SweepError):
             acceptance_matrix(player(), GameConfig(), [], [0.5])
 
+    @pytest.mark.parametrize("split", [-0.1, 1.5, math.nan])
+    def test_split_outside_unit_interval_rejected(self, split):
+        with pytest.raises(SweepError, match=r"offered split must lie in \[0,1\]"):
+            acceptance_matrix(player(), GameConfig(), [0.0, 1.0], [0.5, split])
+
+    def test_one_compile_per_distance(self, monkeypatch):
+        calls, compile_player = [], game.compile_player
+
+        def counted_compile(*args, **kwargs):
+            calls.append(1)
+            return compile_player(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, "compile_player", counted_compile)
+        ds = axis_values(0.0, 2.4, 0.2)
+        rows = acceptance_matrix(player(0.4, 1.0, FairnessMode.association()), GameConfig(), ds,
+                                 axis_values(0.0, 1.0, 0.05))
+        assert len(rows) == len(ds) * 21
+        assert len(calls) == len(ds)
+
 
 class TestTauCurves:
     def test_spot_values(self):
@@ -188,12 +200,17 @@ class TestTauCurves:
 
 
     @pytest.mark.parametrize(
-        "gammas, d_values",
-        [([0.5, math.nan], [1.0]), ([1.5], [1.0]), ([-0.1], [1.0]),
-         ([0.5], [math.nan]), ([0.5], [math.inf]), ([0.5], [-1.0])],
+        "gammas, d_values, match",
+        [([0.5, math.nan], [1.0], r"gamma must lie in \[0,1\], got nan"),
+         ([1.5], [1.0], r"gamma must lie in \[0,1\], got 1.5"),
+         ([-0.1], [1.0], r"gamma must lie in \[0,1\], got -0.1"),
+         ([0.5], [math.nan], "d must be finite and >= 0, got nan"),
+         ([0.5], [math.inf], "d must be finite and >= 0, got inf"),
+         ([0.5], [-1.0], "d must be finite and >= 0, got -1.0")],
+        ids=[f"gammas{i}-d_values{i}" for i in range(6)],
     )
-    def test_bad_axis_values_rejected(self, gammas, d_values):
-        with pytest.raises(SweepError):
+    def test_bad_axis_values_rejected(self, gammas, d_values, match):
+        with pytest.raises(IdentityError, match=match):
             tau_curves(gammas, d_values)
 
 
@@ -396,7 +413,7 @@ def test_sweeps_agree_with_engine(
 
     # utility curves over a custom split grid mark what the engine picks on that grid
     split_cfg = replace(cfg, grid_step=split_step)
-    rows = utility_curves(allocator, cfg, "d", ds, splits=axis_values(0.0, 1.0, split_step))
+    rows = utility_curves(allocator, split_cfg, "d", ds)
     for d in ds:
         player = with_param(allocator, "d", d)
         curve = [r for r in rows if r["curve_param"] == "d" and r["curve_value"] == d]
