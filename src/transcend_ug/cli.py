@@ -21,7 +21,7 @@ from .config import MAX_POINTS, PARAMS, ConfigFileError, RunConfig, dump_config,
 from .game import ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
-from .sweep import SweepError, axis_values
+from .sweep import SweepError, axis_points, axis_values
 
 log = logging.getLogger("transcend_ug")
 
@@ -96,13 +96,12 @@ def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Optional[Tab
 def _table(command: str, cfg: RunConfig) -> Tuple[int, str, Table]:
     """A table subcommand's row count, the config fields it comes from, and the call that builds the rows.
 
-    The count is arithmetic: no step-built axis exists until the call runs.
+    The count is arithmetic, by the rules that build each step-built axis,
+    and only for the axes this subcommand builds: none exists until the call runs.
     """
     s, game = cfg.sweep, cfg.game.game_config()
-    d_points = round((s.d_max - s.d_min) / s.d_step) + 1
-
-    def d_axis() -> List[float]:
-        return axis_values(s.d_min, s.d_max, s.d_step, "sweep.d_step")
+    d_axis = (s.d_min, s.d_max, s.d_step, "sweep.d_step")
+    split_axis = (0.0, 1.0, s.split_step, "sweep.split_step")
 
     if command == "utility-curves":
         # an empty list means the parameter's default family; None stands for the distance axis
@@ -112,18 +111,18 @@ def _table(command: str, cfg: RunConfig) -> Tuple[int, str, Table]:
             values = None
         else:
             values = s.values("gammas") if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
-        curves = d_points if values is None else len(values)
+        curves = axis_points(*d_axis) if values is None else len(values)
         return ((curves + 2) * (game.grid_cells + 1), "sweep.curve_values x game.grid_step",
                 lambda: sweep_mod.utility_curves(cfg.player("allocator"), game, s.curve_param,
-                                                 d_axis() if values is None else values))
+                                                 axis_values(*d_axis) if values is None else values))
     if command == "acceptance-matrix":
-        return (d_points * (round(1.0 / s.split_step) + 1), "sweep.d_step x sweep.split_step",
-                lambda: sweep_mod.acceptance_matrix(cfg.player("recipient"), game, d_axis(),
-                                                    axis_values(0.0, 1.0, s.split_step, "sweep.split_step")))
+        return (axis_points(*d_axis) * axis_points(*split_axis), "sweep.d_step x sweep.split_step",
+                lambda: sweep_mod.acceptance_matrix(cfg.player("recipient"), game, axis_values(*d_axis),
+                                                    axis_values(*split_axis)))
     if command == "tau-curves":
         gammas = s.values("gammas")
-        return (len(gammas) * d_points, "sweep.gammas x sweep.d_step",
-                lambda: sweep_mod.tau_curves(gammas, d_axis()))
+        return (len(gammas) * axis_points(*d_axis), "sweep.gammas x sweep.d_step",
+                lambda: sweep_mod.tau_curves(gammas, axis_values(*d_axis)))
     axis1, axis2 = s.values("axis1_values"), s.values("axis2_values")
     return (len(axis1) * len(axis2), "sweep.axis1_values x sweep.axis2_values",
             lambda: sweep_mod.game_grid(cfg.player("allocator"), cfg.player("recipient"), game,

@@ -13,10 +13,11 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
-from .utility import Split, ug_kernel
+from .payoff import Utility, ug_kernel
+from .utility import Split
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +85,15 @@ class GameConfig:
         """The split grid {0, step, ..., 1}, built on first use and shared: callers must not change it."""
         return self._splits
 
+    @cached_property
+    def _blocks(self) -> List[List[float]]:
+        grid, size = self._splits, max(1, math.isqrt(self.grid_cells + 1))
+        return [grid[i:i + size] for i in range(0, len(grid), size)]
+
+    def blocks(self) -> List[List[float]]:
+        """The split grid cut into runs of about sqrt(n) shares for ``argmax``, built once and shared."""
+        return self._blocks
+
     def snap(self, share: float) -> float:
         """Round a share to the nearest grid point, warning when off-grid."""
         n = self.grid_cells
@@ -117,9 +127,6 @@ class Outcome:
             "util_allocator": self.util_allocator,
             "util_recipient": self.util_recipient,
         }
-
-
-Utility = Callable[[float, float], float]
 
 
 def compile_player(player: PlayerSpec, cfg: GameConfig) -> Utility:
@@ -183,16 +190,13 @@ def argmax(utility: Utility, cfg: GameConfig) -> Tuple[float, float]:
 
     A compiled utility rises in the own share and in the partner's (every
     lens is increasing and the weight is >= 0), so over a block of shares
-    [lo, hi] no point exceeds ``utility(hi, 1 - lo)``. The grid is cut
-    into blocks of about sqrt(n) shares, and the blocks are evaluated in
+    [lo, hi] no point exceeds ``utility(hi, 1 - lo)``. The config's
+    blocks of about sqrt(n) shares (``cfg.blocks()``) are evaluated in
     descending order of that bound until the bound falls below the tie
     window of the best utility so far. A skipped point can neither be the
     top nor tie with it, so the answer is exact.
     """
-    grid = cfg.splits()
-    size = max(1, math.isqrt(len(grid)))
-    blocks = [grid[i:i + size] for i in range(0, len(grid), size)]
-    bounded = sorted(((utility(b[-1], 1.0 - b[0]), b) for b in blocks), key=itemgetter(0), reverse=True)
+    bounded = sorted(((utility(b[-1], 1.0 - b[0]), b) for b in cfg.blocks()), key=itemgetter(0), reverse=True)
     points: List[Tuple[float, float]] = []
     top = -math.inf
     for bound, block in bounded:

@@ -3,14 +3,15 @@
 An agent never reacts to a raw allocation directly; it reacts to the
 disparity ``delta = payoff - tau`` between what it got and its fairness
 threshold, transformed through an S-shaped value function. Shortfalls
-below the threshold hurt more than equal-sized surpluses help.
+below the threshold hurt more than equal-sized surpluses help. The
+lens is written once, inside the two-player utility kernel.
 """
 from __future__ import annotations
 
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 
 class LensFamily(enum.Enum):
@@ -55,31 +56,46 @@ class PayoffLens:
                 )
 
 
-def compile_lens(lens: PayoffLens) -> Callable[[float], float]:
-    """The lens as a function of the disparity, its parameters bound once.
+Utility = Callable[[float, float], float]
 
-    LINEAR: f(delta) = delta.
-    EXP_VALUE: f(delta) = 1 - exp(-k*delta) for gains and
-    -lambda*(1 - exp(k*delta)) for losses. Strictly increasing, f(0)=0,
-    bounded in (-lambda, 1), concave on gains and convex on losses.
-    A non-finite delta raises ValueError.
+
+def ug_kernel(w: float, lens: Optional[PayoffLens] = None, tau: float = 0.0, own_tau: float = 0.0) -> Utility:
+    """Two-player utility over a realized (own, partner) payoff pair.
+
+    Without a lens this is the plain weighted average (own + w*partner)/(1+w).
+    With one, each share is first judged against its threshold:
+    (f(own-own_tau) + w*f(partner-tau))/(1+w), where for LINEAR f(x) = x
+    and for EXP_VALUE f(x) = 1 - exp(-k*x) for gains and
+    -lambda*(1 - exp(k*x)) for losses. This is the one copy of the
+    formula; callers pass finite values, which are not checked here.
     """
-    isfinite = math.isfinite
+    norm = 1.0 + w
+    if lens is None:
+        return lambda own, partner: (own + w * partner) / norm
     if lens.family is LensFamily.LINEAR:
-
-        def linear(delta: float) -> float:
-            if not isfinite(delta):
-                raise ValueError(f"delta must be finite, got {delta}")
-            return delta
-
-        return linear
+        return lambda own, partner: (own - own_tau + w * (partner - tau)) / norm
     k, lam, exp = lens.steepness, lens.loss_aversion, math.exp
+
+    def utility(own: float, partner: float) -> float:
+        x, y = own - own_tau, partner - tau
+        fx = 1.0 - exp(-k * x) if x >= 0.0 else -lam * (1.0 - exp(k * x))
+        fy = 1.0 - exp(-k * y) if y >= 0.0 else -lam * (1.0 - exp(k * y))
+        return (fx + w * fy) / norm
+
+    return utility
+
+
+def compile_lens(lens: PayoffLens) -> Callable[[float], float]:
+    """The lens f of the disparity, strictly increasing with f(0)=0, as the kernel at w = 0.
+
+    A non-finite delta raises ValueError. At a negative partner share the
+    w = 0 term is -0.0, which adds exactly, so even f(-0.0) keeps its sign.
+    """
+    kernel, isfinite = ug_kernel(0.0, lens), math.isfinite
 
     def f(delta: float) -> float:
         if not isfinite(delta):
             raise ValueError(f"delta must be finite, got {delta}")
-        if delta >= 0.0:
-            return 1.0 - exp(-k * delta)
-        return -lam * (1.0 - exp(k * delta))
+        return kernel(delta, -1.0)
 
     return f

@@ -26,6 +26,12 @@ class SweepError(ValueError):
 
 def axis_values(lo: float, hi: float, step: float, name: str = "step") -> List[float]:
     """Inclusive arithmetic grid from lo to hi; step, named ``name`` in errors, must divide the span."""
+    n = axis_points(lo, hi, step, name) - 1
+    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+
+
+def axis_points(lo: float, hi: float, step: float, name: str = "step") -> int:
+    """Number of points of ``axis_values(lo, hi, step, name)``, checked by the same rules but not built."""
     if not all(map(math.isfinite, (lo, hi, step))):
         raise SweepError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
     if not (hi > lo and step > 0.0):
@@ -34,7 +40,7 @@ def axis_values(lo: float, hi: float, step: float, name: str = "step") -> List[f
     n = round(span)
     if abs(span - n) > STEP_SLACK * max(1, n):
         raise SweepError(f"{name} {step} does not divide the span [{lo}, {hi}] evenly")
-    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+    return n + 1
 
 
 def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:

@@ -7,11 +7,11 @@ perceived-payoff lens.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .identity import weight
-from .payoff import PayoffLens, compile_lens
+from .payoff import PayoffLens, ug_kernel
 
 
 @dataclass(frozen=True)
@@ -27,22 +27,6 @@ class Split:
     @property
     def partner_share(self) -> float:
         return 1.0 - self.own_share
-
-
-def ug_kernel(
-    w: float, lens: Optional[PayoffLens] = None, tau: float = 0.0, own_tau: float = 0.0
-) -> Callable[[float, float], float]:
-    """Two-player utility over a realized (own, partner) payoff pair.
-
-    Without a lens this is the plain weighted average (own + w*partner)/(1+w).
-    With one, each share is first judged against its threshold:
-    (f(own-own_tau) + w*f(partner-tau))/(1+w).
-    """
-    norm = 1.0 + w
-    if lens is None:
-        return lambda own, partner: (own + w * partner) / norm
-    f = compile_lens(lens)
-    return lambda own, partner: (f(own - own_tau) + w * f(partner - tau)) / norm
 
 
 def baseline_ug_utility(gamma: float, d: float, own: float, partner: float) -> float:
@@ -68,4 +52,6 @@ def fair_ug_utility(
     both terms).
     """
     t_own = tau if own_tau is None else own_tau
+    if not all(map(math.isfinite, (own, partner, tau, t_own))):
+        raise ValueError(f"shares and thresholds must be finite, got {own}, {partner}, {tau}, {t_own}")
     return ug_kernel(weight(gamma, d), lens, tau, t_own)(own, partner)

@@ -15,17 +15,28 @@ from hypothesis import settings
 settings.register_profile("ci", max_examples=2000, deadline=None)
 
 
-def oracle_f(delta: float, k: float, lam: float) -> float:
+def oracle_f(delta: float, k: float, lam: float, linear: bool = False) -> float:
+    if linear:
+        return delta
     if delta >= 0:
         return 1.0 - math.exp(-k * delta)
     return -lam * (1.0 - math.exp(k * delta))
 
 
 def oracle_fair_utility(
-    gamma: float, d: float, tau: float, k: float, lam: float, own: float
+    gamma: float,
+    d: float,
+    tau: float,
+    k: float,
+    lam: float,
+    own: float,
+    own_tau: Optional[float] = None,
+    linear: bool = False,
 ) -> float:
+    """Fair utility of keeping ``own``; the own share is judged against ``own_tau`` (default tau)."""
     w = 1.0 if d == 0 else gamma ** d
-    return (oracle_f(own - tau, k, lam) + w * oracle_f((1.0 - own) - tau, k, lam)) / (1.0 + w)
+    t_own = tau if own_tau is None else own_tau
+    return (oracle_f(own - t_own, k, lam, linear) + w * oracle_f((1.0 - own) - tau, k, lam, linear)) / (1.0 + w)
 
 
 def oracle_baseline_utility(gamma: float, d: float, own: float) -> float:

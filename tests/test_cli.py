@@ -184,12 +184,23 @@ class TestCliExitCodes:
              "sweep.axis2 must differ from sweep.axis1"),
             (["game-grid", "--axis1", "allocator.gamma", "--axis2", "allocator.gamma"],
              "sweep.axis2 must differ from sweep.axis1"),
+            (["tau-curves", "--print-config", "--d-step", "0.7"], "sweep.d_step 0.7 does not divide"),
+            (["acceptance-matrix", "--print-config", "--d-step", "0.7"], "sweep.d_step 0.7 does not divide"),
+            (["acceptance-matrix", "--print-config", "--split-step", "0.3"], "sweep.split_step 0.3 does not divide"),
+            (["utility-curves", "--print-config", "--d-step", "0.7"], "sweep.d_step 0.7 does not divide"),
         ],
     )
     def test_constructor_range_error_names_config_path(self, argv, path, capsys, caplog):
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
         assert path in caplog.text
+
+    @pytest.mark.parametrize(
+        "argv", [["game-grid", "--d-step", "0.7"], ["utility-curves", "--curve-values", "0.3", "--d-step", "0.7"]]
+    )
+    def test_step_of_an_axis_the_subcommand_does_not_build_is_not_checked(self, argv, capsys):
+        assert run(argv) == 0
+        assert run(argv + ["--print-config"]) == 0
 
     def test_largest_tolerance_is_accepted(self, capsys):
         argv = ["play", "--recipient-mode", "agent_tau", "--recipient-tau", "0.9"]

@@ -19,7 +19,7 @@ from transcend_ug.game import (
     scan,
     utility_of_split,
 )
-from transcend_ug.identity import FairnessMode
+from transcend_ug.identity import FairnessKind, FairnessMode
 from transcend_ug.payoff import LensFamily, PayoffLens
 
 EXP8 = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
@@ -178,6 +178,15 @@ class TestArgmax:
         assert argmax(counted(utility, calls), cfg) == (full.best, full.top)
         assert len(calls) < len(cfg.splits()) / 2  # 31 of 101
 
+    def test_two_calls_on_one_config_use_one_block_list(self, monkeypatch):
+        cfg = GameConfig()
+        seen, blocks = [], GameConfig.blocks
+        monkeypatch.setattr(GameConfig, "blocks", lambda self: seen.append(blocks(self)) or seen[-1])
+        utility = compile_player(agent_tau(0.4, 1.0, 0.2), cfg)
+        assert argmax(utility, cfg) == argmax(utility, cfg)
+        assert len(seen) == 2 and seen[0] is seen[1]
+        assert [s for block in seen[0] for s in block] == cfg.splits()
+
 
 LENSES = st.one_of(
     st.just(PayoffLens(LensFamily.LINEAR)),
@@ -210,6 +219,21 @@ def test_pruned_argmax_equals_full_scan(gamma, d, mode, lens, cfg):
     utility = compile_player(PlayerSpec(gamma, d, mode, lens), cfg)
     full = scan(utility, cfg)
     assert argmax(utility, cfg) == (full.best, full.top)
+
+
+# No max_examples here, so that CI's --hypothesis-profile=ci can raise it.
+@given(st.floats(0.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 5.0)), MODES, LENSES, st.booleans(),
+       st.floats(0.0, 1.0))
+def test_compiled_player_is_the_closed_form(gamma, d, mode, lens, own_tau_zero, own):
+    utility = compile_player(PlayerSpec(gamma, d, mode, lens), GameConfig(own_tau_zero=own_tau_zero))
+    if mode.kind is FairnessKind.BASELINE:
+        expected = oracle_baseline_utility(gamma, d, own)
+    else:
+        tau = mode.tau if mode.kind is FairnessKind.AGENT_TAU else 1.0 - (1.0 if d == 0 else gamma ** d)
+        own_tau = 0.0 if own_tau_zero and mode.kind is FairnessKind.ASSOCIATION else None
+        expected = oracle_fair_utility(gamma, d, tau, lens.steepness, lens.loss_aversion, own, own_tau,
+                                       linear=lens.family is LensFamily.LINEAR)
+    assert utility(own, 1.0 - own) == expected
 
 
 class TestMinAcceptableSplit:

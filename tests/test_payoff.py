@@ -10,6 +10,7 @@ from transcend_ug.payoff import (
     PayoffLens,
     compile_lens,
 )
+from transcend_ug.utility import fair_ug_utility
 
 EXP = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
 LINEAR = PayoffLens(LensFamily.LINEAR)
@@ -92,6 +93,16 @@ def test_compile_lens_is_the_closed_form(lens):
 def test_compile_lens_rejects_non_finite_delta(lens, delta):
     with pytest.raises(ValueError, match="finite"):
         compile_lens(lens)(delta)
+
+
+@pytest.mark.parametrize("lens", [EXP, LINEAR], ids=["exp_value", "linear"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("slot", ["own", "partner", "tau"])
+def test_fair_ug_utility_rejects_non_finite_input(lens, value, slot):
+    # the kernel does not check its inputs, so this public boundary must
+    args = {"own": 0.6, "partner": 0.4, "tau": 0.2, slot: value}
+    with pytest.raises(ValueError, match="finite"):
+        fair_ug_utility(0.5, 1.0, args["tau"], lens, args["own"], args["partner"])
 
 
 @given(valid_lenses, st.floats(-1.0, 1.0), st.floats(1e-6, 0.5))
