@@ -14,6 +14,8 @@ import logging
 import os
 import sys
 import tempfile
+from itertools import groupby, repeat
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
@@ -21,7 +23,7 @@ from .config import MAX_POINTS, PARAMS, ConfigFileError, RunConfig, dump_config,
 from .game import ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
-from .sweep import SweepError, axis_points, axis_values
+from .sweep import Columns, SweepError, axis_points, axis_values
 
 log = logging.getLogger("transcend_ug")
 
@@ -33,19 +35,45 @@ def _rounded(record: Dict[str, object]) -> Dict[str, object]:
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in record.items()}
 
 
-def _render(rows: List[Dict[str, object]], fmt: str) -> str:
-    """Rows as CSV or JSON; the columns are the first row's keys, in order.
+# A cell's %-format, by output format and the cell format its table declares.
+# None stands for the empty cell of a None value: "%.0s" takes it and writes nothing.
+_CELLS = {
+    "csv": {float: "%.6f", int: "%d", str: "%s", None: "%.0s"},
+    "json": {float: "%r", int: "%d", str: '"%s"', None: "null%.0s"},
+}
 
-    Every sweep rejects an empty axis, so ``rows[0]`` always exists. A
-    float cell gets 6 decimals, ``None`` is empty in CSV and ``null`` in
-    JSON, and any other cell is written as ``str`` gives it.
+
+def _render(rows: List[Dict[str, object]], columns: Columns, fmt: str) -> str:
+    """Rows as CSV or JSON, in the columns their sweep declares.
+
+    Each row fills one fixed %-template, built once per run of rows. A float
+    cell gets 6 decimals: ``%.6f`` in CSV, and in JSON the repr of the value
+    rounded to 6 decimals, which is what ``json`` writes for that float
+    (``NaN`` and ``Infinity`` included). An int or str cell is written as
+    is; no table's str cell needs escaping. The rows whose
+    ``Optional[float]`` cell is None (``utility-curves``' envelope rows) take
+    a second template, where that cell is empty in CSV and ``null`` in JSON.
     """
-    if fmt == "json":
-        return json.dumps([_rounded(row) for row in rows], separators=(",", ":")) + "\n"
-    lines = [",".join(rows[0])]
-    lines += (",".join(f"{v:.6f}" if isinstance(v, float) else "" if v is None else str(v) for v in row.values())
-              for row in rows)
-    return "\n".join(lines) + "\n"
+    names = [name for name, _ in columns]
+    nullable = next((name for name, kind in columns if kind == Optional[float]), None)
+    runs = groupby(rows, itemgetter(nullable)) if nullable else [((), rows)]
+    lines = [",".join(names)] if fmt == "csv" else []
+    cell = _CELLS[fmt]
+    for key, run in runs:
+        kinds = [kind if name != nullable else None if key is None else float for name, kind in columns]
+        if fmt == "csv":
+            template = ",".join(cell[kind] for kind in kinds)
+            lines += map(template.__mod__, map(itemgetter(*names), run))
+        else:
+            template = "{" + ",".join(f'"{name}":{cell[kind]}' for name, kind in zip(names, kinds)) + "}"
+            run = list(run)
+            cells = (map(round, map(itemgetter(name), run), repeat(6)) if kind is float else map(itemgetter(name), run)
+                     for name, kind in zip(names, kinds))
+            lines += map(template.__mod__, zip(*cells))
+    if fmt == "csv":
+        return "\n".join(lines) + "\n"
+    # %r writes a non-finite float as Python does; no column name or str cell holds "nan" or "inf"
+    return ("[" + ",".join(lines) + "]\n").replace("nan", "NaN").replace("inf", "Infinity")
 
 
 def _write_output(text: str, path: str) -> None:
@@ -73,11 +101,12 @@ _FLAGS = [
 ]
 
 
-Table = Callable[[], List[Dict[str, object]]]  # builds a table subcommand's rows
+# a table subcommand's columns, and the sweep call that builds its rows
+Table = Tuple[Columns, Callable[[], List[Dict[str, object]]]]
 
 
 def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Optional[Table]]:
-    """The validated config and, for a table subcommand, the sweep call that builds its rows."""
+    """The validated config and, for a table subcommand, its columns and the sweep call that builds its rows."""
     cfg = load_config(args.config) if args.config else RunConfig()
     for p, dest, _ in _FLAGS:
         value = getattr(args, dest)
@@ -86,15 +115,15 @@ def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Optional[Tab
     validate(cfg)
     if args.command == "play":
         return cfg, None
-    rows, fields, build = _table(args.command, cfg)
+    rows, fields, table = _table(args.command, cfg)
     if rows > MAX_POINTS:
         raise ConfigFileError(
             f"{args.command} would emit {rows} rows ({fields}), more than the limit of {MAX_POINTS}")
-    return cfg, build
+    return cfg, table
 
 
 def _table(command: str, cfg: RunConfig) -> Tuple[int, str, Table]:
-    """A table subcommand's row count, the config fields it comes from, and the call that builds the rows.
+    """A table subcommand's row count, the config fields it comes from, its columns and the call that builds the rows.
 
     The count is arithmetic, by the rules that build each step-built axis,
     and only for the axes this subcommand builds: none exists until the call runs.
@@ -113,20 +142,23 @@ def _table(command: str, cfg: RunConfig) -> Tuple[int, str, Table]:
             values = s.values("gammas") if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
         curves = axis_points(*d_axis) if values is None else len(values)
         return ((curves + 2) * (game.grid_cells + 1), "sweep.curve_values x game.grid_step",
-                lambda: sweep_mod.utility_curves(cfg.player("allocator"), game, s.curve_param,
-                                                 axis_values(*d_axis) if values is None else values))
+                (sweep_mod.UTILITY_CURVES_COLUMNS,
+                 lambda: sweep_mod.utility_curves(cfg.player("allocator"), game, s.curve_param,
+                                                  axis_values(*d_axis) if values is None else values)))
     if command == "acceptance-matrix":
         return (axis_points(*d_axis) * axis_points(*split_axis), "sweep.d_step x sweep.split_step",
-                lambda: sweep_mod.acceptance_matrix(cfg.player("recipient"), game, axis_values(*d_axis),
-                                                    axis_values(*split_axis)))
+                (sweep_mod.ACCEPTANCE_MATRIX_COLUMNS,
+                 lambda: sweep_mod.acceptance_matrix(cfg.player("recipient"), game, axis_values(*d_axis),
+                                                     axis_values(*split_axis))))
     if command == "tau-curves":
         gammas = s.values("gammas")
         return (len(gammas) * axis_points(*d_axis), "sweep.gammas x sweep.d_step",
-                lambda: sweep_mod.tau_curves(gammas, axis_values(*d_axis)))
+                (sweep_mod.TAU_CURVES_COLUMNS, lambda: sweep_mod.tau_curves(gammas, axis_values(*d_axis))))
     axis1, axis2 = s.values("axis1_values"), s.values("axis2_values")
     return (len(axis1) * len(axis2), "sweep.axis1_values x sweep.axis2_values",
-            lambda: sweep_mod.game_grid(cfg.player("allocator"), cfg.player("recipient"), game,
-                                        (s.axis1, axis1), (s.axis2, axis2)))
+            (sweep_mod.GAME_GRID_COLUMNS,
+             lambda: sweep_mod.game_grid(cfg.player("allocator"), cfg.player("recipient"), game,
+                                         (s.axis1, axis1), (s.axis2, axis2))))
 
 
 _SUBCOMMANDS = ("play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid")
@@ -177,7 +209,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             outcome = play(cfg.player("allocator"), cfg.player("recipient"), game, offer=args.offer)
             text = json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n"
         else:
-            text = _render(table(), cfg.output.format)
+            columns, build = table
+            text = _render(build(), columns, cfg.output.format)
         _write_output(text, cfg.output.path)
         return 0
     except _CONFIG_ERRORS as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import marshal
 import math
 import os
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .game import STEP_SLACK, GameConfig, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
@@ -18,6 +18,11 @@ from .payoff import PayoffLens
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
+
+# A table's columns, in the order of its rows' keys, each with its cell
+# format: float, int or str. ``Optional[float]`` marks the one column that
+# holds None in some rows; those rows come in runs.
+Columns = Tuple[Tuple[str, object], ...]
 
 
 class SweepError(ValueError):
@@ -56,6 +61,12 @@ def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
     raise SweepError(f"unknown player parameter {name!r}")
 
 
+UTILITY_CURVES_COLUMNS: Columns = (
+    ("curve_param", str), ("curve_value", Optional[float]), ("split", float), ("utility", float),
+    ("is_best_split", int), ("is_min_acceptable", int),
+)
+
+
 def utility_curves(
     base: PlayerSpec,
     cfg: GameConfig,
@@ -89,6 +100,9 @@ def utility_curves(
     return rows
 
 
+ACCEPTANCE_MATRIX_COLUMNS: Columns = (("d", float), ("split", float), ("accepted", int))
+
+
 def acceptance_matrix(
     recipient: PlayerSpec,
     cfg: GameConfig,
@@ -109,6 +123,9 @@ def acceptance_matrix(
     return rows
 
 
+TAU_CURVES_COLUMNS: Columns = (("gamma", float), ("d", float), ("tau", float))
+
+
 def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[str, object]]:
     """Association-derived threshold per (gamma, distance); ``PlayerSpec`` checks each gamma and d once."""
     if not gammas or not d_values:
@@ -123,6 +140,9 @@ def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[
         for g in sorted(gammas)
         for d in sorted(d_values)
     ]
+
+
+GAME_GRID_COLUMNS: Columns = (("axis1", float), ("axis2", float), ("proposed_split", float), ("accepted", int))
 
 
 def game_grid(

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .identity import weight
+from .identity import FairnessMode, PlayerSpec, weight
 from .payoff import PayoffLens, ug_kernel
 
 
@@ -29,8 +29,16 @@ class Split:
         return 1.0 - self.own_share
 
 
+def _checked(gamma: float, d: float, lens: PayoffLens, *values: float) -> None:
+    """Check gamma and d by ``PlayerSpec``'s rules, and that the shares and thresholds are finite."""
+    PlayerSpec(gamma, d, FairnessMode.baseline(), lens)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"shares and thresholds must be finite, got {', '.join(map(str, values))}")
+
+
 def baseline_ug_utility(gamma: float, d: float, own: float, partner: float) -> float:
     """Two-player utility without any fairness lens: (own + g^d*partner)/(1 + g^d)."""
+    _checked(gamma, d, PayoffLens(), own, partner)
     return ug_kernel(weight(gamma, d))(own, partner)
 
 
@@ -52,6 +60,5 @@ def fair_ug_utility(
     both terms).
     """
     t_own = tau if own_tau is None else own_tau
-    if not all(map(math.isfinite, (own, partner, tau, t_own))):
-        raise ValueError(f"shares and thresholds must be finite, got {own}, {partner}, {tau}, {t_own}")
+    _checked(gamma, d, lens, own, partner, tau, t_own)
     return ug_kernel(weight(gamma, d), lens, tau, t_own)(own, partner)

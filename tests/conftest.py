@@ -5,8 +5,9 @@ reusing the package's own code paths, so they stay an independent check.
 """
 from __future__ import annotations
 
+import json
 import math
-from typing import Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from hypothesis import settings
 
@@ -59,3 +60,24 @@ def brute_force_scan(
     best = grid[min(ties, key=lambda i: (abs(2 * i - cells), i))]
     min_acc = next((s for s, u in zip(grid, utils) if u >= accept_threshold - tolerance), None)
     return best, min_acc
+
+
+# The table renderer that per-table %-templates replaced, kept as the
+# reference for their output bytes: a cell's format comes from its value.
+def reference_rounded(record: Dict[str, object]) -> Dict[str, object]:
+    """A record with every float rounded to the 6 decimals of the output."""
+    return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in record.items()}
+
+
+def reference_render(rows: List[Dict[str, object]], fmt: str) -> str:
+    """Rows as CSV or JSON; the columns are the first row's keys, in order.
+
+    A float cell gets 6 decimals, ``None`` is empty in CSV and ``null`` in
+    JSON, and any other cell is written as ``str`` gives it.
+    """
+    if fmt == "json":
+        return json.dumps([reference_rounded(row) for row in rows], separators=(",", ":")) + "\n"
+    lines = [",".join(rows[0])]
+    lines += (",".join(f"{v:.6f}" if isinstance(v, float) else "" if v is None else str(v) for v in row.values())
+              for row in rows)
+    return "\n".join(lines) + "\n"

@@ -7,16 +7,19 @@ import logging.handlers
 import math
 import re
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import transcend_ug
-from transcend_ug import cli
+from conftest import reference_render
+from transcend_ug import cli, sweep
 from transcend_ug.cli import run
 from transcend_ug.config import (
     PARAMS,
     ConfigFileError,
+    RunConfig,
     dump_config,
     load_config,
     loads_config,
@@ -269,11 +272,16 @@ class TestTauCurvesCommand:
 
 def test_every_output_has_the_readme_columns(capsys):
     # the README's "CSV schemas" table and its play bullet are the only
-    # written copies of the columns; the CLI takes them from the sweep rows
+    # written copies of the columns besides their declaration next to each
+    # sweep; the declared names must be the README's, the rows' keys and the
+    # emitted header and keys
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     tables = {name: header.split(",") for name, header in re.findall(r"^\| `([a-z-]+)` +\| `([^`]+)` \|$", text, re.M)}
     assert set(tables) == {"utility-curves", "acceptance-matrix", "tau-curves", "game-grid"}
     for command, columns in tables.items():
+        declared, build = cli._table(command, RunConfig())[2]
+        assert [name for name, _ in declared] == columns
+        assert all(list(row) == columns for row in build())
         assert run([command]) == 0
         assert capsys.readouterr().out.splitlines()[0].split(",") == columns
         assert run([command, "--format", "json"]) == 0
@@ -282,6 +290,50 @@ def test_every_output_has_the_readme_columns(capsys):
     record = re.search(r"^\* `play` prints one JSON record: (.*?)\.", text, re.M | re.S).group(1)
     assert run(["play"]) == 0
     assert list(json.loads(capsys.readouterr().out)) == re.findall(r"`(\w+)`", record)
+
+
+# Floats whose 6-decimal rendering is easy to get wrong: a signed zero, a
+# value that rounds to -0.0, reprs with an exponent, a half-way value, and
+# the non-finite floats that JSON writes NaN and Infinity.
+_SPECIAL_FLOATS = [-0.0, -4e-7, 1e-05, 1.5e16, 0.1234565, math.nan, math.inf, -math.inf]
+_TABLES = [sweep.UTILITY_CURVES_COLUMNS, sweep.ACCEPTANCE_MATRIX_COLUMNS, sweep.TAU_CURVES_COLUMNS,
+           sweep.GAME_GRID_COLUMNS]
+
+
+_cell_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+
+
+def _row(columns, envelope):
+    """A row of a declared table; an envelope row has a None curve_value."""
+    cells = {
+        str: st.sampled_from([sweep.ENVELOPE_MIN, sweep.ENVELOPE_MAX] if envelope else ["d", "gamma", "tau"]),
+        Optional[float]: st.none() if envelope else _cell_floats,
+        float: _cell_floats,
+        int: st.integers(-2 ** 63, 2 ** 63),
+    }
+    names = [name for name, _ in columns]
+    return st.tuples(*(cells[kind] for _, kind in columns)).map(lambda values: dict(zip(names, values)))
+
+
+def _table_rows(columns):
+    rows = _row(columns, False)
+    if any(kind == Optional[float] for _, kind in columns):
+        rows = st.one_of(rows, _row(columns, True))
+    return st.tuples(st.just(columns), st.lists(rows, min_size=1, max_size=20))
+
+
+@given(table=st.sampled_from(_TABLES).flatmap(_table_rows))
+@example(table=(sweep.UTILITY_CURVES_COLUMNS, [
+    {"curve_param": "d", "curve_value": v, "split": v, "utility": -v, "is_best_split": 1, "is_min_acceptable": 0}
+    for v in _SPECIAL_FLOATS
+] + [{"curve_param": sweep.ENVELOPE_MAX, "curve_value": None, "split": 0.5, "utility": 0.1234565,
+      "is_best_split": 0, "is_min_acceptable": 0}]))
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
+def test_render_gives_the_reference_bytes(table):
+    # the per-table templates write what the renderer that read each cell's type wrote
+    columns, rows = table
+    for fmt in ("csv", "json"):
+        assert cli._render(rows, columns, fmt) == reference_render(rows, fmt)
 
 
 class TestFilesAndPrecedence:

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import oracle_f
+from transcend_ug.identity import IdentityError
 from transcend_ug.payoff import (
     LensConfigError,
     LensFamily,
     PayoffLens,
     compile_lens,
 )
-from transcend_ug.utility import fair_ug_utility
+from transcend_ug.utility import baseline_ug_utility, fair_ug_utility
 
 EXP = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
 LINEAR = PayoffLens(LensFamily.LINEAR)
@@ -103,6 +104,23 @@ def test_fair_ug_utility_rejects_non_finite_input(lens, value, slot):
     args = {"own": 0.6, "partner": 0.4, "tau": 0.2, slot: value}
     with pytest.raises(ValueError, match="finite"):
         fair_ug_utility(0.5, 1.0, args["tau"], lens, args["own"], args["partner"])
+
+
+@pytest.mark.parametrize("utility", [
+    lambda gamma, d: fair_ug_utility(gamma, d, 0.2, PayoffLens(), 0.6, 0.4),
+    lambda gamma, d: baseline_ug_utility(gamma, d, 0.6, 0.4),
+], ids=["fair", "baseline"])
+@pytest.mark.parametrize("gamma, d", [(g, 1.0) for g in (math.nan, -0.1, 1.5)] + [(0.5, d) for d in (math.nan, math.inf, -1.0)])
+def test_utility_rejects_gamma_or_distance_out_of_domain(utility, gamma, d):
+    # PlayerSpec's rules, so a public utility answers no question a player could not ask
+    with pytest.raises(IdentityError):
+        utility(gamma, d)
+
+
+@pytest.mark.parametrize("own, partner", [(math.nan, 0.4), (0.6, math.inf)])
+def test_baseline_ug_utility_rejects_non_finite_share(own, partner):
+    with pytest.raises(ValueError, match="finite"):
+        baseline_ug_utility(0.5, 1.0, own, partner)
 
 
 @given(valid_lenses, st.floats(-1.0, 1.0), st.floats(1e-6, 0.5))
