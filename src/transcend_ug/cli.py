@@ -19,8 +19,8 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
-from .config import MAX_POINTS, PARAMS, ConfigFileError, RunConfig, dump_config, load_config, validate
-from .game import ConfigError, play
+from .config import PARAMS, ConfigFileError, RunConfig, dump_config, load_config, validate
+from .game import MAX_POINTS, ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
 from .sweep import Columns, SweepError, axis_points, axis_values

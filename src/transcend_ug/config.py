@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .game import ConfigError, GameConfig, TieBreak
+from .game import MAX_POINTS, ConfigError, GameConfig, TieBreak
 from .identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
 from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens
 from .sweep import with_param
@@ -28,12 +28,6 @@ from .sweep import with_param
 
 class ConfigFileError(ValueError):
     """Raised on unreadable, malformed, or invalid configuration."""
-
-
-# Most points on one step-built axis (game.grid_step, sweep.split_step,
-# sweep.d_step) and most rows one call may emit. The largest benchmarked
-# call emits 40,004 rows; a million rows still fit in memory.
-MAX_POINTS = 1_000_000
 
 
 def _param(default, key=None, flag=None, help=None, choices=None):
@@ -200,11 +194,9 @@ def validate(cfg: RunConfig) -> None:
     for name in ("d_step", "split_step"):
         if not getattr(s, name) > 0.0:
             raise ConfigFileError(f"sweep.{name} must be > 0, got {getattr(s, name)}")
-    # counted before any axis is built; a step <= 0 is named by its own check
-    axes = (("game.grid_step", 1.0, cfg.game.grid_step), ("sweep.split_step", 1.0, s.split_step),
-            ("sweep.d_step", s.d_max - s.d_min, s.d_step))
-    for path, span, step in axes:
-        points = span / step + 1.0 if step > 0.0 else 0.0
+    # counted before any axis is built; GameConfig counts game.grid_step's points itself
+    for path, span, step in (("sweep.split_step", 1.0, s.split_step), ("sweep.d_step", s.d_max - s.d_min, s.d_step)):
+        points = span / step + 1.0
         if points > MAX_POINTS:
             raise ConfigFileError(
                 f"{path} {step} gives {points:.0f} points, more than the limit of {MAX_POINTS}")

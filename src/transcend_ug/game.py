@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
 from .payoff import Utility, ug_kernel
@@ -24,6 +24,11 @@ log = logging.getLogger(__name__)
 # Relative slack within which a step counts as dividing a span evenly. It
 # is fixed: the tie tolerance must not decide which grids exist.
 STEP_SLACK = 1e-9
+
+# Most points on one step-built axis (game.grid_step, sweep.split_step,
+# sweep.d_step) and most rows one call may emit. The largest benchmarked
+# call emits 40,004 rows; a million rows still fit in memory.
+MAX_POINTS = 1_000_000
 
 # Largest tie window and acceptance slack. It is a float-comparison slack,
 # so it stays within the last printed digit (6 decimals) of every output.
@@ -45,6 +50,14 @@ class ConfigError(ValueError):
     """Raised on invalid game configuration."""
 
 
+class Blocks(NamedTuple):
+    """The split grid in runs of about sqrt(n) shares, with each run's utility bound point."""
+
+    bound_own: List[float]  # each run's highest share
+    bound_partner: List[float]  # 1 - each run's lowest share
+    runs: List[Tuple[List[float], List[float]]]  # each run's shares s and partner shares 1 - s
+
+
 @dataclass(frozen=True)
 class GameConfig:
     """Grid resolution, acceptance threshold, and numeric tolerances.
@@ -64,6 +77,10 @@ class GameConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.grid_step <= 0.5:
             raise ConfigError(f"grid_step must lie in (0, 0.5], got {self.grid_step}")
+        points = 1.0 / self.grid_step + 1.0  # counted before the grid is built
+        if points > MAX_POINTS:
+            raise ConfigError(
+                f"grid_step {self.grid_step} gives {points:.0f} points, more than the limit of {MAX_POINTS}")
         if not 0.0 < self.tolerance <= MAX_TOLERANCE:
             raise ConfigError(f"tolerance must lie in (0, {MAX_TOLERANCE}], got {self.tolerance}")
         if not math.isfinite(self.accept_threshold):
@@ -86,11 +103,13 @@ class GameConfig:
         return self._splits
 
     @cached_property
-    def _blocks(self) -> List[List[float]]:
+    def _blocks(self) -> Blocks:
         grid, size = self._splits, max(1, math.isqrt(self.grid_cells + 1))
-        return [grid[i:i + size] for i in range(0, len(grid), size)]
+        runs = [grid[i:i + size] for i in range(0, len(grid), size)]
+        return Blocks([run[-1] for run in runs], [1.0 - run[0] for run in runs],
+                      [(run, [1.0 - s for s in run]) for run in runs])
 
-    def blocks(self) -> List[List[float]]:
+    def blocks(self) -> Blocks:
         """The split grid cut into runs of about sqrt(n) shares for ``argmax``, built once and shared."""
         return self._blocks
 
@@ -171,18 +190,15 @@ class Scan(NamedTuple):
     min_acceptable: Optional[float]  # first share whose utility clears the threshold
 
 
-def _best(points: Iterable[Tuple[float, float]], top: float, cfg: GameConfig) -> float:
-    """The tie-break's pick among (share, utility) points within ``cfg.tolerance`` of ``top``."""
-    return _break_ties([s for s, u in points if u >= top - cfg.tolerance], cfg.tie_break)
-
-
 def scan(utility: Utility, cfg: GameConfig) -> Scan:
     """Evaluate a compiled utility at each own share of the split grid."""
     grid = cfg.splits()
     utilities = [utility(s, 1.0 - s) for s in grid]
     top = max(utilities)
     min_acc = next((s for s, u in zip(grid, utilities) if cfg.clears(u)), None)
-    return Scan(utilities, top, _best(zip(grid, utilities), top, cfg), min_acc)
+    cut = top - cfg.tolerance
+    best = _break_ties([s for s, u in zip(grid, utilities) if u >= cut], cfg.tie_break)
+    return Scan(utilities, top, best, min_acc)
 
 
 def argmax(utility: Utility, cfg: GameConfig) -> Tuple[float, float]:
@@ -196,16 +212,22 @@ def argmax(utility: Utility, cfg: GameConfig) -> Tuple[float, float]:
     window of the best utility so far. A skipped point can neither be the
     top nor tie with it, so the answer is exact.
     """
-    bounded = sorted(((utility(b[-1], 1.0 - b[0]), b) for b in cfg.blocks()), key=itemgetter(0), reverse=True)
-    points: List[Tuple[float, float]] = []
+    blocks = cfg.blocks()
+    bounded = sorted(zip(map(utility, blocks.bound_own, blocks.bound_partner), blocks.runs),
+                     key=itemgetter(0), reverse=True)
+    evaluated: List[Tuple[float, List[float], List[float]]] = []  # (block's top, shares, utilities)
     top = -math.inf
-    for bound, block in bounded:
+    for bound, (shares, partners) in bounded:
         if bound < top - cfg.tolerance - BOUND_SLACK:
             break
-        utilities = [utility(s, 1.0 - s) for s in block]
-        points.extend(zip(block, utilities))
-        top = max(top, *utilities)
-    return _best(points, top, cfg), top
+        utilities = list(map(utility, shares, partners))
+        peak = max(utilities)
+        evaluated.append((peak, shares, utilities))
+        top = max(top, peak)
+    # a tie lies only in a block whose own top is within the tie window
+    cut = top - cfg.tolerance
+    ties = [s for peak, shares, utilities in evaluated if peak >= cut for s, u in zip(shares, utilities) if u >= cut]
+    return _break_ties(ties, cfg.tie_break), top
 
 
 def best_split(player: PlayerSpec, cfg: GameConfig) -> Tuple[Split, float]:
@@ -214,9 +236,16 @@ def best_split(player: PlayerSpec, cfg: GameConfig) -> Tuple[Split, float]:
     return Split(best), top
 
 
+def accepts_offer(utility: Utility, cfg: GameConfig, offered: float) -> bool:
+    """Whether a recipient of this compiled utility accepts the offered share: the one response rule."""
+    return cfg.clears(utility(offered, 1.0 - offered))
+
+
 def accepts(player: PlayerSpec, cfg: GameConfig, offered: float) -> bool:
     """Whether the recipient accepts the offered share."""
-    return cfg.clears(utility_of_split(player, cfg, offered))
+    if not 0.0 <= offered <= 1.0:
+        raise ValueError(f"offered share must lie in [0,1], got {offered}")
+    return accepts_offer(compile_player(player, cfg), cfg, offered)
 
 
 def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Optional[Split]:
@@ -248,7 +277,7 @@ def play(
             raise ConfigError(f"offer must be a finite share in [0,1], got {offer}")
         offered = cfg.snap(offer)
         proposal = Split(1.0 - offered)
-    accepted = cfg.clears(u_recip(offered, 1.0 - offered))
+    accepted = accepts_offer(u_recip, cfg, offered)
     if accepted:
         pay_alloc, pay_recip = proposal.own_share, offered
     else:

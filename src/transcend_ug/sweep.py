@@ -12,7 +12,7 @@ import math
 import os
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .game import STEP_SLACK, GameConfig, compile_player, play, scan
+from .game import STEP_SLACK, GameConfig, accepts_offer, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
 from .payoff import PayoffLens
 
@@ -119,7 +119,7 @@ def acceptance_matrix(
     rows = []
     for d in sorted(d_values):
         utility = compile_player(with_param(recipient, "d", d), cfg)
-        rows.extend({"d": d, "split": s, "accepted": int(cfg.clears(utility(s, 1.0 - s)))} for s in shares)
+        rows.extend({"d": d, "split": s, "accepted": int(accepts_offer(utility, cfg, s))} for s in shares)
     return rows
 
 

@@ -145,6 +145,43 @@ class TestCliExitCodes:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
+        "section, key, raw, message",
+        [
+            ("game", "grid_step", "fine", "game.grid_step must be a number, got 'fine'"),
+            ("game", "own_tau_zero", "maybe", "game.own_tau_zero must be a boolean, got 'maybe'"),
+            ("game", "tie_break", "nearest", "game.tie_break must be one of closest_to_equal, lowest_own_share, "
+                                             "highest_own_share; got 'nearest'"),
+            ("sweep", "axis1_values", "0.1,x", "sweep.axis1_values must be a comma-separated list of numbers, "
+                                               "got '0.1,x'"),
+        ],
+    )
+    def test_bad_config_file_value_exits_2_naming_its_path(self, tmp_path, section, key, raw, message,
+                                                           capsys, caplog):
+        # a flag's type and choices are checked by the parser; only a config file reaches these checks
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[{section}]\n{key} = {raw}\n")
+        assert run(["game-grid", "--config", str(cfg_file), "--output", str(tmp_path / "grid.csv")]) == 2
+        assert capsys.readouterr().out == ""
+        assert message in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, caplog):
+        out = tmp_path / "missing" / "grid.csv"
+        assert run(["game-grid", "--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert "No such file or directory" in caplog.text
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_replace_removes_the_temp_file(self, tmp_path, capsys, caplog):
+        out = tmp_path / "grid.csv"
+        out.mkdir()  # the written temp file cannot replace a directory
+        assert run(["game-grid", "--output", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        assert str(out) in caplog.text
+        assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
         "argv, message",
         [
             (["play", "--grid-step", "1e-9"], "game.grid_step 1e-09 gives 1000000001 points"),

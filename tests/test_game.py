@@ -46,6 +46,14 @@ class TestGameConfig:
             with pytest.raises(ConfigError):
                 GameConfig(grid_step=step)
 
+    def test_oversized_grid_rejected_before_it_is_built(self, monkeypatch):
+        def build(self):
+            raise AssertionError("split grid built")
+
+        monkeypatch.setattr(GameConfig, "_splits", property(build))
+        with pytest.raises(ConfigError, match=r"^grid_step 1e-09 gives 1000000001 points, more than the limit of 1000000$"):
+            GameConfig(grid_step=1e-9)
+
     def test_tolerance_positive(self):
         for tolerance in (0.0, math.inf, math.nan, 2e-6, 100.0):
             with pytest.raises(ConfigError):
@@ -185,7 +193,11 @@ class TestArgmax:
         utility = compile_player(agent_tau(0.4, 1.0, 0.2), cfg)
         assert argmax(utility, cfg) == argmax(utility, cfg)
         assert len(seen) == 2 and seen[0] is seen[1]
-        assert [s for block in seen[0] for s in block] == cfg.splits()
+        blocks = seen[0]
+        assert [s for shares, _ in blocks.runs for s in shares] == cfg.splits()
+        for (shares, partners), own, partner in zip(blocks.runs, blocks.bound_own, blocks.bound_partner, strict=True):
+            assert partners == [1.0 - s for s in shares]
+            assert (own, partner) == (shares[-1], 1.0 - shares[0])
 
 
 LENSES = st.one_of(

@@ -47,6 +47,11 @@ class TestFairnessMode:
         with pytest.raises(IdentityError):
             FairnessMode(FairnessKind.AGENT_TAU)
 
+    @pytest.mark.parametrize("kind", [FairnessKind.BASELINE, FairnessKind.ASSOCIATION])
+    def test_tau_outside_agent_tau_mode_rejected(self, kind):
+        with pytest.raises(IdentityError, match=f"^tau must be None for {kind.value} mode, got 0.3$"):
+            FairnessMode(kind, 0.3)
+
     def test_baseline_resolves_to_zero(self):
         assert effective_tau(two_party(0.5, 1.0)) == 0.0
 

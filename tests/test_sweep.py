@@ -17,7 +17,7 @@ from transcend_ug.game import (
     play,
     utility_of_split,
 )
-from transcend_ug.identity import FairnessMode, IdentityError, association_tau
+from transcend_ug.identity import FairnessKind, FairnessMode, IdentityError, association_tau
 from transcend_ug.payoff import LensFamily, PayoffLens
 from transcend_ug.sweep import (
     ENVELOPE_MAX,
@@ -260,22 +260,25 @@ class TestGameGrid:
             game_grid(player(), player(), GameConfig(),
                       ("allocator.gamma", values1), ("recipient.gamma", values2))
 
-    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("position", [1, 2])
     @pytest.mark.parametrize(
-        "axis1, error, match",
+        "bad_axis, error, match",
         [(("allocator.gamma", [0.5, 1.5]), IdentityError, r"gamma must lie in \[0,1\], got 1.5"),
          (("allocator.tau", [0.2, 0.4]), SweepError, "requires agent_tau"),
          (("recipient.d", [0.1, math.inf]), IdentityError, "d must be finite and >= 0, got inf")],
         ids=["gamma-out-of-range", "tau-axis-without-agent-tau", "distance-not-finite"],
     )
-    def test_bad_axis_raises_before_any_fork(self, monkeypatch, workers, axis1, error, match):
+    def test_bad_axis_raises_before_any_fork(self, monkeypatch, position, bad_axis, error, match):
+        """A bad axis raises its own error as either axis, before a second worker is forked."""
         def no_fork():
             raise AssertionError("forked before the axes were checked")
 
-        monkeypatch.setattr(sweep, "_usable_cpus", lambda: workers)
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        other = ("recipient.gamma", [0.1, 0.2])
+        axes = (bad_axis, other) if position == 1 else (other, bad_axis)
         with pytest.raises(error, match=match):
-            game_grid(player(), player(), GameConfig(), axis1, ("recipient.gamma", [0.1, 0.2]))
+            game_grid(player(), player(), GameConfig(), *axes)
 
     @pytest.mark.parametrize("name1, values1, name2, values2", GRIDS)
     def test_one_scan_per_cell(self, monkeypatch, name1, values1, name2, values2):
@@ -377,6 +380,7 @@ MODES = st.one_of(
     st.floats(0.0, 1.0).map(FairnessMode.agent_tau),
 )
 SHARES = st.floats(0.0, 1.0)
+GRID_AXES = [f"{role}.{param}" for role in ("allocator", "recipient") for param in ("gamma", "d", "tau")]
 
 
 @given(
@@ -384,6 +388,8 @@ SHARES = st.floats(0.0, 1.0)
     recip_mode=MODES,
     gammas=st.lists(SHARES, min_size=1, max_size=2, unique=True),
     ds=st.lists(st.floats(0.0, 2.4), min_size=1, max_size=2, unique=True),
+    taus=st.lists(SHARES, min_size=1, max_size=2, unique=True),
+    axes=st.permutations(GRID_AXES).map(lambda names: tuple(names[:2])),
     own_tau_zero=st.booleans(),
     tie_break=st.sampled_from(list(TieBreak)),
     threshold=st.floats(-0.5, 0.5),
@@ -395,15 +401,17 @@ SHARES = st.floats(0.0, 1.0)
     recip_mode=FairnessMode.agent_tau(0.5),
     gammas=[0.5],
     ds=[0.0],
+    taus=[0.5],
+    axes=("allocator.d", "recipient.gamma"),
     own_tau_zero=False,
     tie_break=TieBreak.CLOSEST_TO_EQUAL,
     threshold=0.0,
     split_step=0.05,
     offers=[0.5],
 )
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
 def test_sweeps_agree_with_engine(
-    alloc_mode, recip_mode, gammas, ds, own_tau_zero, tie_break, threshold, split_step, offers
+    alloc_mode, recip_mode, gammas, ds, taus, axes, own_tau_zero, tie_break, threshold, split_step, offers
 ):
     cfg = GameConfig(
         grid_step=0.02, accept_threshold=threshold, tie_break=tie_break, own_tau_zero=own_tau_zero
@@ -432,13 +440,21 @@ def test_sweeps_agree_with_engine(
         player = with_param(recipient, "d", cell["d"])
         assert cell["accepted"] == int(accepts(player, cfg, cell["split"]))
 
-    cells = game_grid(allocator, recipient, cfg, ("allocator.d", ds), ("recipient.gamma", gammas))
-    assert len(cells) == len(ds) * len(gammas)
+    # any two axes, of either role; a tau axis needs an agent_tau player
+    specs = {"allocator": allocator, "recipient": recipient}
+    for name in axes:
+        role, _, param = name.partition(".")
+        if param == "tau" and specs[role].mode.kind is not FairnessKind.AGENT_TAU:
+            specs[role] = replace(specs[role], mode=FairnessMode.agent_tau(0.5))
+    values = {"gamma": gammas, "d": ds, "tau": taus}
+    values1, values2 = (values[name.partition(".")[2]] for name in axes)
+    cells = game_grid(specs["allocator"], specs["recipient"], cfg, (axes[0], values1), (axes[1], values2))
+    assert [(c["axis1"], c["axis2"]) for c in cells] == [(v1, v2) for v1 in sorted(values1) for v2 in sorted(values2)]
     for cell in cells:
-        outcome = play(
-            with_param(allocator, "d", cell["axis1"]),
-            with_param(recipient, "gamma", cell["axis2"]),
-            cfg,
-        )
+        players = dict(specs)
+        for name, value in zip(axes, (cell["axis1"], cell["axis2"])):
+            role, _, param = name.partition(".")
+            players[role] = with_param(players[role], param, value)
+        outcome = play(players["allocator"], players["recipient"], cfg)
         assert cell["proposed_split"] == outcome.proposed_split.own_share
         assert cell["accepted"] == int(outcome.accepted)
