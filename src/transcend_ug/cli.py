@@ -9,6 +9,7 @@ configuration error, 1 runtime error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -164,8 +165,9 @@ def _table(command: str, cfg: RunConfig) -> Tuple[int, str, Table]:
 _SUBCOMMANDS = ("play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid")
 
 
-def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
-    """The CLI parser. Given a subcommand's name, only that subcommand gets its flags."""
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every subcommand's flags, built once per process and shared: callers must not change it."""
     parser = argparse.ArgumentParser(
         prog="transcend-ug",
         description="Deterministic Ultimatum Game simulator for transcended agents with fairness thresholds.",
@@ -173,30 +175,32 @@ def build_parser(command: Optional[str] = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
         p = sub.add_parser(name)
-        if command not in _SUBCOMMANDS or command == name:
-            _add_flags(p, name)
+        p.add_argument("--config", help="config file path")
+        p.add_argument("--print-config", action="store_true", help="dump the effective config and exit")
+        groups = {}
+        for param, _, kwargs in _FLAGS:
+            if param.attr not in groups:
+                groups[param.attr] = p.add_argument_group(param.attr)
+            groups[param.attr].add_argument(param.flag, **kwargs)
+        if name == "play":
+            p.add_argument("--offer", type=float,
+                           help="skip the allocator and evaluate this offered share directly")
     return parser
 
 
-def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
-    p.add_argument("--config", help="config file path")
-    p.add_argument("--print-config", action="store_true", help="dump the effective config and exit")
-    groups = {}
-    for param, _, kwargs in _FLAGS:
-        if param.attr not in groups:
-            groups[param.attr] = p.add_argument_group(param.attr)
-        groups[param.attr].add_argument(param.flag, **kwargs)
-    if command == "play":
-        p.add_argument("--offer", type=float,
-                       help="skip the allocator and evaluate this offered share directly")
+class _Stderr(logging.StreamHandler):
+    """A handler that writes each record to the ``sys.stderr`` of the moment it is emitted."""
+
+    stream = property(lambda self: sys.stderr, lambda self, stream: None)
+
+
+_HANDLER = _Stderr()
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv[0] if argv else None)
+    logging.basicConfig(handlers=[_HANDLER], format="%(levelname)s %(message)s")
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

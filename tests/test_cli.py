@@ -1,11 +1,17 @@
+import ast
 import configparser
 import contextlib
 import io
+import itertools
 import json
 import logging
 import logging.handlers
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 from typing import Optional
 
@@ -617,3 +623,73 @@ def test_counted_rows_are_the_emitted_rows(command, grid_step, d_axis, split_ste
             rc, out, messages = _run_logged(argv + extra)
             assert (rc, out) == (2, "")
             assert any(f"{command} would emit {emitted} rows" in m for m in messages)
+
+
+def test_each_call_logs_to_the_stderr_it_runs_with():
+    # A fresh interpreter: under pytest the root logger already has handlers,
+    # so the CLI's logging.basicConfig would do nothing here.
+    code = textwrap.dedent("""
+        import io, sys
+        from transcend_ug import cli
+        streams = []
+        for argv in (["play", "--payoff-lambda", "0.5"], ["play", "--payoff-lambda", "0.5"],
+                     ["play", "--offer", "0.123"]):
+            sys.stderr = io.StringIO()
+            streams.append(sys.stderr)
+            cli.run(argv)
+        sys.stderr = sys.__stderr__
+        print(repr([s.getvalue() for s in streams]))
+    """)
+    src = str(Path(transcend_ug.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    error = "ERROR payoff.lambda must be finite and > 1 for exp_value lens, got 0.5\n"
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [
+        error, error, "WARNING off-grid share 0.123 snapped to 0.12\n"]
+
+
+def _run_captured(argv):
+    """Exit code, stdout and stderr of one CLI call, with log records written to stderr as the CLI writes them."""
+    out, err = io.StringIO(), io.StringIO()
+    handler = logging.StreamHandler(err)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    cli.log.addHandler(handler)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(argv)
+    finally:
+        cli.log.removeHandler(handler)
+    return rc, out.getvalue(), err.getvalue()
+
+
+# Calls that leave each kind of trace a parser could keep: flag overrides,
+# play's own flag, --print-config, argparse errors, help and a config error.
+_REUSE_ARGV = [
+    ["play", "--allocator-gamma", "0.9"], ["play", "--recipient-mode", "agent_tau", "--recipient-tau", "0.6"],
+    ["play", "--offer", "0.3"], ["play", "--print-config"], ["tau-curves", "--print-config", "--gamma", "0.3"],
+    ["tau-curves", "--gamma", "0.3", "--d-max", "0.4"], ["play", "--bogus"], ["tau-curves", "--offer", "0.3"],
+    ["play", "--tie-break", "nope"], ["warp"], [], ["-h"], ["play", "-h"], ["play", "--payoff-lambda", "0.5"],
+]
+
+
+def _every_ordered_pair(test):
+    """Run ``test`` first on each ordered pair of the table: a trace one call
+    leaves in the parser shows in the next call, so the pairs cover it."""
+    for first, second in itertools.product(_REUSE_ARGV, repeat=2):
+        test = example(calls=[first, second])(test)
+    return test
+
+
+@_every_ordered_pair
+@given(calls=st.lists(st.sampled_from(_REUSE_ARGV), min_size=2, max_size=6))
+@settings(deadline=None)
+def test_a_reused_parser_keeps_no_state(calls):
+    assert cli.build_parser() is cli.build_parser()
+    cached = cli.build_parser
+    for argv in calls:
+        reused = _run_captured(argv)
+        cli.build_parser = cached.__wrapped__  # a new parser for this call only
+        try:
+            assert _run_captured(argv) == reused
+        finally:
+            cli.build_parser = cached
