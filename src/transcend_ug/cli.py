@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
-from .config import PARAMS, ConfigFileError, RunConfig, dump_config, load_config, validate
+from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, dump_config, load_config, resolve
 from .game import MAX_POINTS, ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
@@ -106,59 +106,59 @@ _FLAGS = [
 Table = Tuple[Columns, Callable[[], List[Dict[str, object]]]]
 
 
-def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Optional[Table]]:
-    """The validated config and, for a table subcommand, its columns and the sweep call that builds its rows."""
+def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Optional[Table]]:
+    """The config, its resolution and, for a table subcommand, its columns and the sweep call that builds its rows."""
     cfg = load_config(args.config) if args.config else RunConfig()
     for p, dest, _ in _FLAGS:
         value = getattr(args, dest)
         if value is not None:
             setattr(getattr(cfg, p.attr), p.name, value)
-    validate(cfg)
+    resolved = resolve(cfg)
     if args.command == "play":
-        return cfg, None
-    rows, fields, table = _table(args.command, cfg)
+        return cfg, resolved, None
+    rows, fields, table = _table(args.command, cfg.sweep, resolved)
     if rows > MAX_POINTS:
         raise ConfigFileError(
             f"{args.command} would emit {rows} rows ({fields}), more than the limit of {MAX_POINTS}")
-    return cfg, table
+    return cfg, resolved, table
 
 
-def _table(command: str, cfg: RunConfig) -> Tuple[int, str, Table]:
+def _table(command: str, s: SweepSection, resolved: Resolved) -> Tuple[int, str, Table]:
     """A table subcommand's row count, the config fields it comes from, its columns and the call that builds the rows.
 
     The count is arithmetic, by the rules that build each step-built axis,
     and only for the axes this subcommand builds: none exists until the call runs.
     """
-    s, game = cfg.sweep, cfg.game.game_config()
+    game, lists = resolved.game, resolved.lists
     d_axis = (s.d_min, s.d_max, s.d_step, "sweep.d_step")
     split_axis = (0.0, 1.0, s.split_step, "sweep.split_step")
 
     if command == "utility-curves":
         # an empty list means the parameter's default family; None stands for the distance axis
         if s.curve_values.strip():
-            values = s.values("curve_values")
+            values = lists["curve_values"]
         elif s.curve_param == "d":
             values = None
         else:
-            values = s.values("gammas") if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
+            values = lists["gammas"] if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
         curves = axis_points(*d_axis) if values is None else len(values)
         return ((curves + 2) * (game.grid_cells + 1), "sweep.curve_values x game.grid_step",
                 (sweep_mod.UTILITY_CURVES_COLUMNS,
-                 lambda: sweep_mod.utility_curves(cfg.player("allocator"), game, s.curve_param,
+                 lambda: sweep_mod.utility_curves(resolved.allocator, game, s.curve_param,
                                                   axis_values(*d_axis) if values is None else values)))
     if command == "acceptance-matrix":
         return (axis_points(*d_axis) * axis_points(*split_axis), "sweep.d_step x sweep.split_step",
                 (sweep_mod.ACCEPTANCE_MATRIX_COLUMNS,
-                 lambda: sweep_mod.acceptance_matrix(cfg.player("recipient"), game, axis_values(*d_axis),
+                 lambda: sweep_mod.acceptance_matrix(resolved.recipient, game, axis_values(*d_axis),
                                                      axis_values(*split_axis))))
     if command == "tau-curves":
-        gammas = s.values("gammas")
+        gammas = lists["gammas"]
         return (len(gammas) * axis_points(*d_axis), "sweep.gammas x sweep.d_step",
                 (sweep_mod.TAU_CURVES_COLUMNS, lambda: sweep_mod.tau_curves(gammas, axis_values(*d_axis))))
-    axis1, axis2 = s.values("axis1_values"), s.values("axis2_values")
+    axis1, axis2 = lists["axis1_values"], lists["axis2_values"]
     return (len(axis1) * len(axis2), "sweep.axis1_values x sweep.axis2_values",
             (sweep_mod.GAME_GRID_COLUMNS,
-             lambda: sweep_mod.game_grid(cfg.player("allocator"), cfg.player("recipient"), game,
+             lambda: sweep_mod.game_grid(resolved.allocator, resolved.recipient, game,
                                          (s.axis1, axis1), (s.axis2, axis2))))
 
 
@@ -204,13 +204,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg, table = _effective_config(args)
+        cfg, resolved, table = _effective_config(args)
         if args.print_config:
             sys.stdout.write(dump_config(cfg))
             return 0
         if table is None:
-            game = cfg.game.game_config()
-            outcome = play(cfg.player("allocator"), cfg.player("recipient"), game, offer=args.offer)
+            outcome = play(resolved.allocator, resolved.recipient, resolved.game, offer=args.offer)
             text = json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n"
         else:
             columns, build = table

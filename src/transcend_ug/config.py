@@ -9,7 +9,8 @@ Each section field describes its parameter once; its metadata adds only
 what the name cannot say (on-disk ``key``, ``flag``, ``help``,
 ``choices``). Config keys, flags and ``dump_config`` derive from
 ``PARAMS``. Range checks live in the domain constructors, which
-``validate`` builds once, naming their errors by config path.
+``resolve`` builds once, naming their errors by config path; the run
+uses the objects it built.
 """
 from __future__ import annotations
 
@@ -41,19 +42,12 @@ class AgentSection:
     fairness_mode: str = _param("baseline", flag="mode", choices=FairnessKind)
     tau: float = 0.5  # consulted only under agent_tau mode
 
-    def mode(self) -> FairnessMode:
-        kind = FairnessKind(self.fairness_mode)
-        return FairnessMode(kind, self.tau if kind is FairnessKind.AGENT_TAU else None)
-
 
 @dataclass
 class PayoffSection:
     family: str = _param("exp_value", choices=LensFamily)
     k: float = DEFAULT_STEEPNESS
     lam: float = _param(DEFAULT_LOSS_AVERSION, key="lambda")  # 'lambda' is a keyword
-
-    def lens(self) -> PayoffLens:
-        return PayoffLens(LensFamily(self.family), loss_aversion=self.lam, steepness=self.k)
 
 
 # the player parameters a game-grid axis may vary
@@ -75,10 +69,6 @@ class SweepSection:
     axis2: str = _param("recipient.gamma", choices=_AXES)
     axis2_values: str = "0.2,0.4,0.6,0.8"
 
-    def values(self, name: str) -> List[float]:
-        """One of the comma-list fields as numbers."""
-        return parse_value_list(getattr(self, name), f"sweep.{name}")
-
 
 @dataclass
 class OutputSection:
@@ -94,9 +84,6 @@ class GameSection:
     tolerance: float = 1e-9
     own_tau_zero: bool = False
 
-    def game_config(self) -> GameConfig:
-        return GameConfig(**dict(vars(self), tie_break=TieBreak(self.tie_break)))
-
 
 @dataclass
 class RunConfig:
@@ -106,10 +93,6 @@ class RunConfig:
     payoff: PayoffSection = field(default_factory=PayoffSection)
     sweep: SweepSection = field(default_factory=SweepSection)
     output: OutputSection = field(default_factory=OutputSection)
-
-    def player(self, role: str) -> PlayerSpec:
-        section = self.allocator if role == "allocator" else self.recipient
-        return PlayerSpec(section.gamma, section.distance, section.mode(), self.payoff.lens())
 
 
 class Param(NamedTuple):
@@ -178,8 +161,17 @@ def _named(section: str, key: Optional[str] = None):
         raise ConfigFileError(f"{section}.{key or _DOMAIN_KEYS.get(name, name)} {rest}") from None
 
 
-def validate(cfg: RunConfig) -> None:
-    """Reject an invalid config, naming the config path of the first fault."""
+class Resolved(NamedTuple):
+    """The objects ``resolve`` built from a config while checking it."""
+
+    game: GameConfig
+    allocator: PlayerSpec
+    recipient: PlayerSpec
+    lists: Dict[str, List[float]]  # the sweep comma lists, parsed, by field name
+
+
+def resolve(cfg: RunConfig) -> Resolved:
+    """The game, players and sweep lists of a config, or the error naming the config path of its first fault."""
     for p in PARAMS:
         value = getattr(getattr(cfg, p.attr), p.name)
         if p.type is float and not math.isfinite(value):
@@ -201,26 +193,31 @@ def validate(cfg: RunConfig) -> None:
             raise ConfigFileError(
                 f"{path} {step} gives {points:.0f} points, more than the limit of {MAX_POINTS}")
     with _named("game"):
-        cfg.game.game_config()
+        game = GameConfig(**dict(vars(cfg.game), tie_break=TieBreak(cfg.game.tie_break)))
     with _named("payoff"):
-        lens = cfg.payoff.lens()
+        lens = PayoffLens(LensFamily(cfg.payoff.family), loss_aversion=cfg.payoff.lam, steepness=cfg.payoff.k)
+    players = []
     for role in ("allocator", "recipient"):
         a = getattr(cfg, role)
         with _named(f"agent.{role}"):
-            FairnessMode.agent_tau(a.tau)  # range-checked in every mode, not only where consulted
-            PlayerSpec(a.gamma, a.distance, a.mode(), lens)
+            kind = FairnessKind(a.fairness_mode)
+            mode = FairnessMode.agent_tau(a.tau)  # range-checked in every mode, not only where consulted
+            players.append(PlayerSpec(a.gamma, a.distance, mode if kind is mode.kind else FairnessMode(kind), lens))
     # Each sweep entry sets one player parameter and is range-checked here as
     # that parameter, in every mode. The probe is an agent_tau player, so the
     # check that a tau axis meets an agent_tau player stays in the sweep.
     probe = PlayerSpec(0.0, 0.0, FairnessMode.agent_tau(0.0), lens)
     with _named("sweep", "d_min"):
         with_param(probe, "d", s.d_min)
-    lists = {"gammas": "gamma", "curve_values": s.curve_param,
-             "axis1_values": s.axis1.partition(".")[2], "axis2_values": s.axis2.partition(".")[2]}
-    for name, param in lists.items():
+    # parsed and checked one list at a time, so the first faulty list is named
+    lists = {}
+    for name, param in (("gammas", "gamma"), ("curve_values", s.curve_param),
+                        ("axis1_values", s.axis1.partition(".")[2]), ("axis2_values", s.axis2.partition(".")[2])):
+        lists[name] = parse_value_list(getattr(s, name), f"sweep.{name}")
         with _named("sweep", name):
-            for value in s.values(name):
+            for value in lists[name]:
                 with_param(probe, param, value)
+    return Resolved(game, *players, lists)
 
 
 def parse_value_list(raw: str, path: str) -> List[float]:
@@ -248,7 +245,7 @@ def loads_config(text: str, source: str = "<config>") -> RunConfig:
             if p is None:
                 raise ConfigFileError(f"unknown key {section}.{key} in {source}")
             setattr(getattr(cfg, p.attr), p.name, _coerce(p, raw))
-    validate(cfg)
+    resolve(cfg)
     return cfg
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -31,6 +32,10 @@ class LensConfigError(ValueError):
 DEFAULT_STEEPNESS = 16.0
 DEFAULT_LOSS_AVERSION = 2.0
 
+# Each lens term lies in [-lambda, 1] and a partner weight in [0, 1], so at
+# this bound the kernel's numerator f(own) + w*f(partner) stays finite.
+MAX_LOSS_AVERSION = sys.float_info.max / 2
+
 
 @dataclass(frozen=True)
 class PayoffLens:
@@ -50,6 +55,10 @@ class PayoffLens:
                 raise LensConfigError(
                     f"loss_aversion must be finite and > 1 for exp_value lens, got {self.loss_aversion}"
                 )
+            if self.loss_aversion > MAX_LOSS_AVERSION:
+                raise LensConfigError(
+                    f"loss_aversion must be at most {MAX_LOSS_AVERSION} for exp_value lens, got {self.loss_aversion}"
+                )
             if not (math.isfinite(self.steepness) and self.steepness > 0.0):
                 raise LensConfigError(
                     f"steepness must be finite and > 0 for exp_value lens, got {self.steepness}"
@@ -67,7 +76,8 @@ def ug_kernel(w: float, lens: Optional[PayoffLens] = None, tau: float = 0.0, own
     (f(own-own_tau) + w*f(partner-tau))/(1+w), where for LINEAR f(x) = x
     and for EXP_VALUE f(x) = 1 - exp(-k*x) for gains and
     -lambda*(1 - exp(k*x)) for losses. This is the one copy of the
-    formula; callers pass finite values, which are not checked here.
+    formula; callers pass finite values, which are not checked here, and
+    ``PayoffLens`` bounds lambda so that the numerator stays finite.
     """
     norm = 1.0 + w
     if lens is None:

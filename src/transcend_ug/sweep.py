@@ -135,11 +135,8 @@ def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[
         PlayerSpec(g, 0.0, mode, lens)
     for d in d_values:
         PlayerSpec(0.0, d, mode, lens)
-    return [
-        {"gamma": g, "d": d, "tau": association_tau(g, d)}
-        for g in sorted(gammas)
-        for d in sorted(d_values)
-    ]
+    gammas, d_values = sorted(gammas), sorted(d_values)
+    return [{"gamma": g, "d": d, "tau": association_tau(g, d)} for g in gammas for d in d_values]
 
 
 GAME_GRID_COLUMNS: Columns = (("axis1", float), ("axis2", float), ("proposed_split", float), ("accepted", int))

@@ -29,6 +29,7 @@ from transcend_ug.config import (
     dump_config,
     load_config,
     loads_config,
+    resolve,
 )
 
 MINIMAL = """
@@ -234,6 +235,7 @@ class TestCliExitCodes:
             (["acceptance-matrix", "--print-config", "--d-step", "0.7"], "sweep.d_step 0.7 does not divide"),
             (["acceptance-matrix", "--print-config", "--split-step", "0.3"], "sweep.split_step 0.3 does not divide"),
             (["utility-curves", "--print-config", "--d-step", "0.7"], "sweep.d_step 0.7 does not divide"),
+            (["play", "--payoff-lambda", "1e308"], "payoff.lambda must be at most"),
         ],
     )
     def test_constructor_range_error_names_config_path(self, argv, path, capsys, caplog):
@@ -265,6 +267,46 @@ class TestCliExitCodes:
         default = capsys.readouterr().out
         assert run([command, "--tolerance", "1e-300"]) == 0
         assert capsys.readouterr().out == default
+
+
+def _resolutions(monkeypatch):
+    """The list that each resolution ``cli.run`` makes is appended to."""
+    made = []
+
+    def counted(cfg):
+        made.append(resolve(cfg))
+        return made[-1]
+
+    monkeypatch.setattr(cli, "resolve", counted)
+    return made
+
+
+# One resolution per call, and the run gets the very objects it built: a
+# second path that rebuilt the game or a player from the config would fail here.
+def test_play_gets_the_objects_resolve_built(monkeypatch, capsys):
+    made, calls, real = _resolutions(monkeypatch), [], cli.play
+    monkeypatch.setattr(cli, "play", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    assert run(["play"]) == 0
+    [resolved], [(allocator, recipient, game)] = made, calls
+    assert allocator is resolved.allocator and recipient is resolved.recipient and game is resolved.game
+
+
+def test_a_sweep_gets_the_objects_resolve_built(monkeypatch, capsys):
+    made, calls = _resolutions(monkeypatch), []
+    monkeypatch.setattr(sweep, "game_grid", lambda *args: calls.append(args) or [])
+    assert run(["game-grid"]) == 0
+    [resolved], [(allocator, recipient, game, (_, axis1), (_, axis2))] = made, calls
+    assert allocator is resolved.allocator and recipient is resolved.recipient and game is resolved.game
+    assert axis1 is resolved.lists["axis1_values"] and axis2 is resolved.lists["axis2_values"]
+
+
+def test_comma_lists_are_checked_in_order_and_the_first_fault_is_named(caplog):
+    # an out-of-range gamma and a non-number in the last list: parsing every list
+    # before checking any would name sweep.axis2_values instead
+    argv = ["game-grid", "--gamma", "1.5", "--axis2-values", "0.5,x"]
+    assert _run_quiet(argv) == (2, "")
+    assert "sweep.gammas must lie in [0,1], got 1.5" in caplog.text
+    assert "sweep.axis2_values" not in caplog.text
 
 
 class TestPlayCommand:
@@ -322,7 +364,8 @@ def test_every_output_has_the_readme_columns(capsys):
     tables = {name: header.split(",") for name, header in re.findall(r"^\| `([a-z-]+)` +\| `([^`]+)` \|$", text, re.M)}
     assert set(tables) == {"utility-curves", "acceptance-matrix", "tau-curves", "game-grid"}
     for command, columns in tables.items():
-        declared, build = cli._table(command, RunConfig())[2]
+        cfg = RunConfig()
+        declared, build = cli._table(command, cfg.sweep, resolve(cfg))[2]
         assert [name for name, _ in declared] == columns
         assert all(list(row) == columns for row in build())
         assert run([command]) == 0
@@ -548,7 +591,7 @@ _bad_settings = st.one_of(
     st.tuples(st.sampled_from(["--allocator-d", "--recipient-d"]), st.sampled_from(["-1", "-1e-300"])),
     st.tuples(st.sampled_from(["--tolerance", "--d-step", "--split-step", "--payoff-k"]),
               st.sampled_from(["-1", "0"])),
-    st.tuples(st.just("--payoff-lambda"), st.sampled_from(["1", "0.5"])),
+    st.tuples(st.just("--payoff-lambda"), st.sampled_from(["1", "0.5", "1e308"])),
     st.tuples(st.just("--tolerance"), st.just("100")),
     # a sweep entry outside the range of the parameter it sets
     st.tuples(st.sampled_from(["--gamma", "--axis1-values", "--axis2-values", "--curve-values", "--d-min"]),

@@ -6,10 +6,12 @@ from hypothesis import assume, given, strategies as st
 from conftest import oracle_f
 from transcend_ug.identity import IdentityError
 from transcend_ug.payoff import (
+    MAX_LOSS_AVERSION,
     LensConfigError,
     LensFamily,
     PayoffLens,
     compile_lens,
+    ug_kernel,
 )
 from transcend_ug.utility import baseline_ug_utility, fair_ug_utility
 
@@ -56,11 +58,17 @@ def test_gap_vanishes_at_origin():
 
 
 @pytest.mark.parametrize(
-    "lam,k", [(1.0, 8.0), (0.5, 8.0), (2.0, 0.0), (2.0, -1.0), (math.inf, 8.0), (2.0, math.inf)]
+    "lam,k", [(1.0, 8.0), (0.5, 8.0), (2.0, 0.0), (2.0, -1.0), (math.inf, 8.0), (2.0, math.inf), (1e308, 8.0)]
 )
 def test_invalid_exp_value_parameters_rejected_at_construction(lam, k):
     with pytest.raises(LensConfigError):
         PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)
+
+
+def test_largest_loss_aversion_keeps_both_loss_terms_finite():
+    # both shares below their thresholds at full weight: each term is about -lambda
+    lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=MAX_LOSS_AVERSION, steepness=16.0)
+    assert math.isfinite(ug_kernel(1.0, lens, tau=0.6, own_tau=0.6)(0.0, 0.0))
 
 
 def test_linear_ignores_lambda_and_k():
