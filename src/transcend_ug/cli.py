@@ -20,7 +20,7 @@ from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
-from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, dump_config, load_config, resolve
+from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, dump_config, load_config, parse_value, resolve
 from .game import MAX_POINTS, ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
@@ -93,11 +93,11 @@ def _write_output(text: str, path: str) -> None:
         raise
 
 
-# (parameter, argparse attribute of its flag, add_argument keywords), derived once
+# (parameter, argparse attribute, add_argument keywords): text is left to parse_value, choices to resolve
 _FLAGS = [
     (p, p.flag[2:].replace("-", "_"),
-     {"action": "store_const", "const": True, "help": p.help} if p.type is bool
-     else {"type": p.type, "choices": p.choices, "help": p.help})
+     {"action": "store_const", "const": "true", "help": p.help} if p.type is bool
+     else {"metavar": p.choices and "{" + ",".join(p.choices) + "}", "help": p.help})
     for p in PARAMS
 ]
 
@@ -110,9 +110,9 @@ def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Op
     """The config, its resolution and, for a table subcommand, its columns and the sweep call that builds its rows."""
     cfg = load_config(args.config) if args.config else RunConfig()
     for p, dest, _ in _FLAGS:
-        value = getattr(args, dest)
-        if value is not None:
-            setattr(getattr(cfg, p.attr), p.name, value)
+        raw = getattr(args, dest)
+        if raw is not None:
+            setattr(getattr(cfg, p.attr), p.name, parse_value(p, raw))
     resolved = resolve(cfg)
     if args.command == "play":
         return cfg, resolved, None

@@ -2,15 +2,16 @@
 
 The on-disk format is a flat INI-style file with sections ``game``,
 ``agent.allocator``, ``agent.recipient``, ``payoff``, ``sweep`` and
-``output``. Parsing is strict: unknown sections or keys are errors, and
-every violation names the offending field path.
+``output``. Parsing is strict: unknown sections (``[DEFAULT]`` too) or
+keys are errors, and every violation names the offending field path.
 
 Each section field describes its parameter once; its metadata adds only
 what the name cannot say (on-disk ``key``, ``flag``, ``help``,
 ``choices``). Config keys, flags and ``dump_config`` derive from
-``PARAMS``. Range checks live in the domain constructors, which
-``resolve`` builds once, naming their errors by config path; the run
-uses the objects it built.
+``PARAMS``; ``parse_value`` reads a file key's and a flag's text alike.
+Loading only reads: ``resolve`` alone checks choices and ranges, once per
+call. Range checks live in the domain constructors, which it builds,
+naming their errors by config path; the run uses the objects it built.
 """
 from __future__ import annotations
 
@@ -133,7 +134,7 @@ _BY_PATH: Dict[str, Param] = {p.path: p for p in PARAMS}
 _DOMAIN_KEYS = {"d": "distance", "loss_aversion": "lambda", "steepness": "k"}
 
 
-def _coerce(p: Param, raw: str):
+def parse_value(p: Param, raw: str):
     if p.type is float:
         try:
             return float(raw)
@@ -231,7 +232,7 @@ def parse_value_list(raw: str, path: str) -> List[float]:
 
 
 def loads_config(text: str, source: str = "<config>") -> RunConfig:
-    parser = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(interpolation=None, default_section="")  # [DEFAULT] is a section
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
@@ -244,8 +245,7 @@ def loads_config(text: str, source: str = "<config>") -> RunConfig:
             p = _BY_PATH.get(f"{section}.{key}")
             if p is None:
                 raise ConfigFileError(f"unknown key {section}.{key} in {source}")
-            setattr(getattr(cfg, p.attr), p.name, _coerce(p, raw))
-    resolve(cfg)
+            setattr(getattr(cfg, p.attr), p.name, parse_value(p, raw))
     return cfg
 
 

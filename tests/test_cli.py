@@ -20,7 +20,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import transcend_ug
 from conftest import reference_render
-from transcend_ug import cli, sweep
+from transcend_ug import cli, config, sweep
 from transcend_ug.cli import run
 from transcend_ug.config import (
     PARAMS,
@@ -51,14 +51,15 @@ class TestLoadConfig:
         assert cfg.payoff.k == 16.0
         assert cfg.payoff.lam == 2.0
 
+    # loading only reads a file; resolve checks it, naming the same config path
     def test_low_lambda_names_field(self):
         with pytest.raises(ConfigFileError, match=r"payoff\.lambda"):
-            loads_config(MINIMAL + "\n[payoff]\nlambda = 0.5\n")
+            resolve(loads_config(MINIMAL + "\n[payoff]\nlambda = 0.5\n"))
 
     def test_gamma_out_of_range_names_field(self):
         bad = MINIMAL.replace("gamma = 0.5", "gamma = 1.2", 1)
         with pytest.raises(ConfigFileError, match=r"agent\.allocator\.gamma"):
-            loads_config(bad)
+            resolve(loads_config(bad))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigFileError, match="unknown key"):
@@ -67,6 +68,13 @@ class TestLoadConfig:
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigFileError, match="unknown section"):
             loads_config(MINIMAL + "\n[plotting]\ncolor = red\n")
+
+    # configparser would otherwise read [DEFAULT] as keys for every section
+    @pytest.mark.parametrize("text", ["[DEFAULT]\ngrid_step = 0.5\n", MINIMAL + "\n[DEFAULT]\ngamma = 0.3\n"],
+                             ids=["alone", "beside-agent-sections"])
+    def test_default_section_rejected(self, text):
+        with pytest.raises(ConfigFileError, match=r"unknown section \[DEFAULT\]"):
+            loads_config(text)
 
     def test_parse_error_carries_location(self):
         with pytest.raises(ConfigFileError, match="parse error"):
@@ -79,6 +87,7 @@ class TestLoadConfig:
     def test_linear_family_skips_lambda_check(self):
         cfg = loads_config(MINIMAL + "\n[payoff]\nfamily = linear\nlambda = 0.5\n")
         assert cfg.payoff.family == "linear"
+        resolve(cfg)
 
     @pytest.mark.parametrize(
         "section, key, raw",
@@ -88,11 +97,21 @@ class TestLoadConfig:
     )
     def test_non_finite_value_names_field(self, section, key, raw):
         with pytest.raises(ConfigFileError, match=rf"{section}\.{key} must be finite"):
-            loads_config(f"[{section}]\n{key} = {raw}\n")
+            resolve(loads_config(f"[{section}]\n{key} = {raw}\n"))
 
     def test_round_trip_is_identity(self):
         cfg = loads_config(MINIMAL + "\n[game]\ngrid_step = 0.05\n[payoff]\nk = 7.5\n")
         assert loads_config(dump_config(cfg)) == cfg
+
+
+# A value whose text cannot be read, or is not one of its choices, and the message it gets
+BAD_VALUES = [
+    ("game", "grid_step", "fine", "game.grid_step must be a number, got 'fine'"),
+    ("game", "own_tau_zero", "maybe", "game.own_tau_zero must be a boolean, got 'maybe'"),
+    ("game", "tie_break", "nearest", "game.tie_break must be one of closest_to_equal, lowest_own_share, "
+                                     "highest_own_share; got 'nearest'"),
+    ("sweep", "axis1_values", "0.1,x", "sweep.axis1_values must be a comma-separated list of numbers, got '0.1,x'"),
+]
 
 
 class TestCliExitCodes:
@@ -151,26 +170,46 @@ class TestCliExitCodes:
         assert run(argv) == 2
         assert capsys.readouterr().out == ""
 
-    @pytest.mark.parametrize(
-        "section, key, raw, message",
-        [
-            ("game", "grid_step", "fine", "game.grid_step must be a number, got 'fine'"),
-            ("game", "own_tau_zero", "maybe", "game.own_tau_zero must be a boolean, got 'maybe'"),
-            ("game", "tie_break", "nearest", "game.tie_break must be one of closest_to_equal, lowest_own_share, "
-                                             "highest_own_share; got 'nearest'"),
-            ("sweep", "axis1_values", "0.1,x", "sweep.axis1_values must be a comma-separated list of numbers, "
-                                               "got '0.1,x'"),
-        ],
-    )
+    @pytest.mark.parametrize("section, key, raw, message", BAD_VALUES)
     def test_bad_config_file_value_exits_2_naming_its_path(self, tmp_path, section, key, raw, message,
                                                            capsys, caplog):
-        # a flag's type and choices are checked by the parser; only a config file reaches these checks
+        # a file key's text is read and checked as a flag's is; see the test below
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"[{section}]\n{key} = {raw}\n")
         assert run(["game-grid", "--config", str(cfg_file), "--output", str(tmp_path / "grid.csv")]) == 2
         assert capsys.readouterr().out == ""
         assert message in caplog.text
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize("section, key, raw, message", [c for c in BAD_VALUES if c[1] != "own_tau_zero"])
+    def test_bad_flag_value_gets_the_config_file_message(self, tmp_path, section, key, raw, message):
+        # own_tau_zero is a switch: its flag takes no text
+        flag = next(p.flag for p in PARAMS if p.path == f"{section}.{key}")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(f"[{section}]\n{key} = {raw}\n")
+        from_flag = _run_logged(["game-grid", flag, raw])
+        assert from_flag == _run_logged(["game-grid", "--config", str(cfg_file)]) == (2, "", [message])
+
+    def test_default_section_exits_2(self, tmp_path, capsys, caplog):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("[DEFAULT]\ngrid_step = 0.5\n")
+        assert run(["play", "--config", str(cfg_file)]) == 2
+        assert capsys.readouterr().out == ""
+        assert "unknown section [DEFAULT]" in caplog.text
+
+    def test_help_is_printed_before_flag_text_is_read(self, capsys):
+        assert run(["play", "--grid-step", "x", "-h"]) == 0
+        assert "--grid-step" in capsys.readouterr().out
+
+    def test_flag_overrides_a_bad_file_value(self, tmp_path, capsys):
+        # flags win: a file value they override is read, but never range-checked or used
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(MINIMAL + "\n[payoff]\nlambda = 0.5\n")
+        argv = ["play", "--config", str(cfg_file), "--payoff-lambda", "3"]
+        assert run(argv) == 0
+        capsys.readouterr()
+        assert run(argv + ["--print-config"]) == 0
+        assert loads_config(capsys.readouterr().out).payoff.lam == 3.0
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys, caplog):
         out = tmp_path / "missing" / "grid.csv"
@@ -270,7 +309,7 @@ class TestCliExitCodes:
 
 
 def _resolutions(monkeypatch):
-    """The list that each resolution ``cli.run`` makes is appended to."""
+    """The list that each resolution a call makes, through either module's binding, is appended to."""
     made = []
 
     def counted(cfg):
@@ -278,6 +317,7 @@ def _resolutions(monkeypatch):
         return made[-1]
 
     monkeypatch.setattr(cli, "resolve", counted)
+    monkeypatch.setattr(config, "resolve", counted)
     return made
 
 
@@ -289,6 +329,18 @@ def test_play_gets_the_objects_resolve_built(monkeypatch, capsys):
     assert run(["play"]) == 0
     [resolved], [(allocator, recipient, game)] = made, calls
     assert allocator is resolved.allocator and recipient is resolved.recipient and game is resolved.game
+
+
+def test_a_config_file_call_resolves_once(monkeypatch, tmp_path, capsys):
+    # loading a file only reads it; the config the flags override is resolved once
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(MINIMAL)
+    made, calls, real = _resolutions(monkeypatch), [], cli.play
+    monkeypatch.setattr(cli, "play", lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    assert run(["play", "--config", str(cfg_file), "--allocator-gamma", "0.3"]) == 0
+    [resolved], [(allocator, recipient, game)] = made, calls
+    assert allocator is resolved.allocator and recipient is resolved.recipient and game is resolved.game
+    assert allocator.gamma == 0.3
 
 
 def test_a_sweep_gets_the_objects_resolve_built(monkeypatch, capsys):
@@ -528,8 +580,11 @@ class TestParameterTable:
     )
     def test_help_lists_the_same_options(self, command, capsys):
         assert run([command, "--help"]) == 0
-        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", capsys.readouterr().out))
+        text = capsys.readouterr().out
+        listed = set(re.findall(r"(?<![\w-])--?[a-z][\w-]*", text))
         assert listed == HELP_OPTIONS | ({"--offer"} if command == "play" else set())
+        # resolve checks a choice, but the help still lists the values a choice flag takes
+        assert all(f"\n  {p.flag} {{{','.join(p.choices)}}}" in text for p in PARAMS if p.choices)
 
 
 def _run_quiet(argv):
