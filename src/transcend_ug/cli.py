@@ -15,8 +15,6 @@ import logging
 import os
 import sys
 import tempfile
-from itertools import groupby, repeat
-from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
@@ -24,7 +22,7 @@ from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, 
 from .game import MAX_POINTS, ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
-from .sweep import Columns, SweepError, axis_points, axis_values
+from .sweep import SweepError, Table, axis_points, axis_values
 
 log = logging.getLogger("transcend_ug")
 
@@ -36,45 +34,53 @@ def _rounded(record: Dict[str, object]) -> Dict[str, object]:
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in record.items()}
 
 
-# A cell's %-format, by output format and the cell format its table declares.
-# None stands for the empty cell of a None value: "%.0s" takes it and writes nothing.
-_CELLS = {
-    "csv": {float: "%.6f", int: "%d", str: "%s", None: "%.0s"},
-    "json": {float: "%r", int: "%d", str: '"%s"', None: "null%.0s"},
-}
+def _texts(column: Sequence, kind: type, fmt: str) -> List[str]:
+    """The text of each cell of a column, in the output format, by the cell format its table declares.
 
-
-def _render(rows: List[Dict[str, object]], columns: Columns, fmt: str) -> str:
-    """Rows as CSV or JSON, in the columns their sweep declares.
-
-    Each row fills one fixed %-template, built once per run of rows. A float
-    cell gets 6 decimals: ``%.6f`` in CSV, and in JSON the repr of the value
-    rounded to 6 decimals, which is what ``json`` writes for that float
-    (``NaN`` and ``Infinity`` included). An int or str cell is written as
-    is; no table's str cell needs escaping. The rows whose
-    ``Optional[float]`` cell is None (``utility-curves``' envelope rows) take
-    a second template, where that cell is empty in CSV and ``null`` in JSON.
+    A float gets 6 decimals: ``%.6f`` in CSV, and in JSON what ``json``
+    writes for the value rounded to 6 decimals (``NaN`` and ``Infinity``
+    included). An int or str cell is written as is; no table's str cell
+    needs escaping.
     """
-    names = [name for name, _ in columns]
-    nullable = next((name for name, kind in columns if kind == Optional[float]), None)
-    runs = groupby(rows, itemgetter(nullable)) if nullable else [((), rows)]
+    if kind is float and fmt == "csv":
+        return list(map("%.6f".__mod__, column))
+    if kind is float:
+        texts = list(map(repr, map(round, column, [6] * len(column))))
+        if "nan" in texts or "inf" in texts or "-inf" in texts:
+            json_name = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+            texts = [json_name.get(text, text) for text in texts]
+        return texts
+    if kind is int:
+        return list(map("%d".__mod__, column))
+    return list(column) if fmt == "csv" else list(map('"%s"'.__mod__, column))
+
+
+def _render(table: Table, fmt: str) -> str:
+    """A table as CSV or JSON, in the columns its sweep declares.
+
+    Each run fills its own %-template, into which its fixed cells are
+    written once; a None fixed cell (an envelope run's curve_value) is
+    empty in CSV and ``null`` in JSON. Each column object is formatted
+    once per call, however many runs share it, and the run's template is
+    mapped over its columns' texts.
+    """
+    names = [name for name, _ in table.columns]
+    kinds = [kind for _, kind in table.columns]
+    formatted = {}  # a column's texts, by the id and cell format of a column the table holds
     lines = [",".join(names)] if fmt == "csv" else []
-    cell = _CELLS[fmt]
-    for key, run in runs:
-        kinds = [kind if name != nullable else None if key is None else float for name, kind in columns]
-        if fmt == "csv":
-            template = ",".join(cell[kind] for kind in kinds)
-            lines += map(template.__mod__, map(itemgetter(*names), run))
-        else:
-            template = "{" + ",".join(f'"{name}":{cell[kind]}' for name, kind in zip(names, kinds)) + "}"
-            run = list(run)
-            cells = (map(round, map(itemgetter(name), run), repeat(6)) if kind is float else map(itemgetter(name), run)
-                     for name, kind in zip(names, kinds))
-            lines += map(template.__mod__, zip(*cells))
-    if fmt == "csv":
-        return "\n".join(lines) + "\n"
-    # %r writes a non-finite float as Python does; no column name or str cell holds "nan" or "inf"
-    return ("[" + ",".join(lines) + "]\n").replace("nan", "NaN").replace("inf", "Infinity")
+    for fixed, varying in table.runs:
+        cells = [("" if fmt == "csv" else "null") if value is None else _texts([value], kind, fmt)[0]
+                 for value, kind in zip(fixed, kinds)]
+        cells += ["%s"] * len(varying)
+        template = ",".join(cells) if fmt == "csv" else "{" + ",".join(map('"%s":%s'.__mod__, zip(names, cells))) + "}"
+        columns = []
+        for column, kind in zip(varying, kinds[len(fixed):]):
+            key = (id(column), kind)
+            if key not in formatted:
+                formatted[key] = _texts(column, kind, fmt)
+            columns.append(formatted[key])
+        lines += map(template.__mod__, zip(*columns))
+    return "\n".join(lines) + "\n" if fmt == "csv" else "[" + ",".join(lines) + "]\n"
 
 
 def _write_output(text: str, path: str) -> None:
@@ -102,12 +108,8 @@ _FLAGS = [
 ]
 
 
-# a table subcommand's columns, and the sweep call that builds its rows
-Table = Tuple[Columns, Callable[[], List[Dict[str, object]]]]
-
-
-def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Optional[Table]]:
-    """The config, its resolution and, for a table subcommand, its columns and the sweep call that builds its rows."""
+def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Optional[Callable[[], Table]]]:
+    """The config, its resolution and, for a table subcommand, the sweep call that builds its table."""
     cfg = load_config(args.config) if args.config else RunConfig()
     for p, dest, _ in _FLAGS:
         raw = getattr(args, dest)
@@ -116,15 +118,15 @@ def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Op
     resolved = resolve(cfg)
     if args.command == "play":
         return cfg, resolved, None
-    rows, fields, table = _table(args.command, cfg.sweep, resolved)
+    rows, fields, build = _table(args.command, cfg.sweep, resolved)
     if rows > MAX_POINTS:
         raise ConfigFileError(
             f"{args.command} would emit {rows} rows ({fields}), more than the limit of {MAX_POINTS}")
-    return cfg, resolved, table
+    return cfg, resolved, build
 
 
-def _table(command: str, s: SweepSection, resolved: Resolved) -> Tuple[int, str, Table]:
-    """A table subcommand's row count, the config fields it comes from, its columns and the call that builds the rows.
+def _table(command: str, s: SweepSection, resolved: Resolved) -> Tuple[int, str, Callable[[], Table]]:
+    """A table subcommand's row count, the config fields it comes from and the sweep call that builds the table.
 
     The count is arithmetic, by the rules that build each step-built axis,
     and only for the axes this subcommand builds: none exists until the call runs.
@@ -143,23 +145,20 @@ def _table(command: str, s: SweepSection, resolved: Resolved) -> Tuple[int, str,
             values = lists["gammas"] if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
         curves = axis_points(*d_axis) if values is None else len(values)
         return ((curves + 2) * (game.grid_cells + 1), "sweep.curve_values x game.grid_step",
-                (sweep_mod.UTILITY_CURVES_COLUMNS,
-                 lambda: sweep_mod.utility_curves(resolved.allocator, game, s.curve_param,
-                                                  axis_values(*d_axis) if values is None else values)))
+                lambda: sweep_mod.utility_curves(resolved.allocator, game, s.curve_param,
+                                                 axis_values(*d_axis) if values is None else values))
     if command == "acceptance-matrix":
         return (axis_points(*d_axis) * axis_points(*split_axis), "sweep.d_step x sweep.split_step",
-                (sweep_mod.ACCEPTANCE_MATRIX_COLUMNS,
-                 lambda: sweep_mod.acceptance_matrix(resolved.recipient, game, axis_values(*d_axis),
-                                                     axis_values(*split_axis))))
+                lambda: sweep_mod.acceptance_matrix(resolved.recipient, game, axis_values(*d_axis),
+                                                    axis_values(*split_axis)))
     if command == "tau-curves":
         gammas = lists["gammas"]
         return (len(gammas) * axis_points(*d_axis), "sweep.gammas x sweep.d_step",
-                (sweep_mod.TAU_CURVES_COLUMNS, lambda: sweep_mod.tau_curves(gammas, axis_values(*d_axis))))
+                lambda: sweep_mod.tau_curves(gammas, axis_values(*d_axis)))
     axis1, axis2 = lists["axis1_values"], lists["axis2_values"]
     return (len(axis1) * len(axis2), "sweep.axis1_values x sweep.axis2_values",
-            (sweep_mod.GAME_GRID_COLUMNS,
-             lambda: sweep_mod.game_grid(resolved.allocator, resolved.recipient, game,
-                                         (s.axis1, axis1), (s.axis2, axis2))))
+            lambda: sweep_mod.game_grid(resolved.allocator, resolved.recipient, game,
+                                        (s.axis1, axis1), (s.axis2, axis2)))
 
 
 _SUBCOMMANDS = ("play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid")
@@ -204,16 +203,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        cfg, resolved, table = _effective_config(args)
+        cfg, resolved, build = _effective_config(args)
         if args.print_config:
             sys.stdout.write(dump_config(cfg))
             return 0
-        if table is None:
+        if build is None:
             outcome = play(resolved.allocator, resolved.recipient, resolved.game, offer=args.offer)
             text = json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n"
         else:
-            columns, build = table
-            text = _render(build(), columns, cfg.output.format)
+            text = _render(build(), cfg.output.format)
         _write_output(text, cfg.output.path)
         return 0
     except _CONFIG_ERRORS as exc:

@@ -1,16 +1,16 @@
 """Parameter sweeps over the game engine.
 
 Regenerates the published curve families, acceptance matrices, threshold
-curves, and settled-game grids as plain tabular data. Every cell is
-computed by the game engine; rows are emitted in ascending coordinate
-order.
+curves, and settled-game grids as tables (``Table``), held as runs of
+columns. Every cell is computed by the game engine; rows are emitted in
+ascending coordinate order.
 """
 from __future__ import annotations
 
 import marshal
 import math
 import os
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .game import STEP_SLACK, GameConfig, accepts_offer, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
@@ -20,9 +20,38 @@ ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
 
 # A table's columns, in the order of its rows' keys, each with its cell
-# format: float, int or str. ``Optional[float]`` marks the one column that
-# holds None in some rows; those rows come in runs.
-Columns = Tuple[Tuple[str, object], ...]
+# format: float, int or str.
+Columns = Tuple[Tuple[str, type], ...]
+
+
+class Table:
+    """A sweep's rows, held as runs of columns.
+
+    A run is ``(fixed, varying)``: the cells of the leading columns, which
+    stay the same through the run (None is an empty cell), and one
+    sequence per remaining column, all of one length. A column that
+    several runs share (a split grid, a distance axis) is the same object
+    in each run, so that a renderer can format it once. Iterating yields
+    each row as a dict keyed by the column names, in order; ``len`` is the
+    number of rows. Tables with equal columns and runs are equal.
+    """
+
+    __slots__ = ("columns", "runs")
+
+    def __init__(self, columns: Columns, runs: List[Tuple[tuple, tuple]]) -> None:
+        self.columns, self.runs = columns, runs
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Table) and (self.columns, self.runs) == (other.columns, other.runs)
+
+    def __iter__(self) -> Iterator[Dict[str, object]]:
+        names = [name for name, _ in self.columns]
+        for fixed, varying in self.runs:
+            for cells in zip(*varying):
+                yield dict(zip(names, fixed + cells))
+
+    def __len__(self) -> int:
+        return sum(len(varying[0]) for _, varying in self.runs)
 
 
 class SweepError(ValueError):
@@ -62,7 +91,7 @@ def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
 
 
 UTILITY_CURVES_COLUMNS: Columns = (
-    ("curve_param", str), ("curve_value", Optional[float]), ("split", float), ("utility", float),
+    ("curve_param", str), ("curve_value", float), ("split", float), ("utility", float),
     ("is_best_split", int), ("is_min_acceptable", int),
 )
 
@@ -72,32 +101,41 @@ def utility_curves(
     cfg: GameConfig,
     curve_param: str,
     curve_values: Sequence[float],
-) -> List[Dict[str, object]]:
+) -> Table:
     """One utility curve per value of the varied parameter.
 
-    Each row holds (curve_param, curve_value, split, utility) plus marker
-    flags for the utility-maximizing split (post tie-break) and the first
-    split clearing the acceptance threshold. Two envelope pseudo-curves
-    carry the pointwise min/max over the family. Every utility is
-    emitted, so each curve is a full ``game.scan``, not a pruned argmax.
+    Each curve is one run: its fixed (curve_param, curve_value), and the
+    columns split, utility and two marker flags, for the utility-maximizing
+    split (post tie-break) and the first split clearing the acceptance
+    threshold. Two envelope pseudo-curves, with a None curve_value, carry
+    the pointwise min/max over the family. Every run's split column is
+    ``cfg.splits()`` itself. Every utility is emitted, so each curve is a
+    full ``game.scan``, not a pruned argmax.
     """
     if curve_param not in ("d", "gamma", "tau"):
         raise SweepError(f"curve parameter must be one of d, gamma, tau; got {curve_param!r}")
     if not curve_values:
         raise SweepError("curve values must be non-empty")
 
-    grid, rows, families = cfg.splits(), [], []
+    grid, runs, families = cfg.splits(), [], []
+    zeros = [0] * len(grid)
     for value in curve_values:
         result = scan(compile_player(with_param(base, curve_param, value), cfg), cfg)
         families.append(result.utilities)
-        rows.extend({"curve_param": curve_param, "curve_value": value, "split": s, "utility": u,
-                     "is_best_split": int(s == result.best), "is_min_acceptable": int(s == result.min_acceptable)}
-                    for s, u in zip(grid, result.utilities))
+        flags = _flags(grid, result.best, zeros), _flags(grid, result.min_acceptable, zeros)
+        runs.append(((curve_param, value), (grid, result.utilities, *flags)))
     for name, agg in ((ENVELOPE_MIN, min), (ENVELOPE_MAX, max)):
-        rows.extend({"curve_param": name, "curve_value": None, "split": s, "utility": agg(utilities),
-                     "is_best_split": 0, "is_min_acceptable": 0}
-                    for s, utilities in zip(grid, zip(*families)))
-    return rows
+        runs.append(((name, None), (grid, list(map(agg, zip(*families))), zeros, zeros)))
+    return Table(UTILITY_CURVES_COLUMNS, runs)
+
+
+def _flags(grid: List[float], share: Optional[float], zeros: List[int]) -> List[int]:
+    """A flag per grid point, 1 where it equals ``share``; ``zeros`` itself where none does (or ``share`` is None)."""
+    if share not in grid:
+        return zeros
+    flags = zeros.copy()
+    flags[grid.index(share)] = 1
+    return flags
 
 
 ACCEPTANCE_MATRIX_COLUMNS: Columns = (("d", float), ("split", float), ("accepted", int))
@@ -108,26 +146,29 @@ def acceptance_matrix(
     cfg: GameConfig,
     d_values: Sequence[float],
     splits: Sequence[float],
-) -> List[Dict[str, object]]:
-    """Accept/reject flag for every (distance, offered split) cell."""
+) -> Table:
+    """Accept/reject flag for every (distance, offered split) cell: one run per distance, sharing one split column."""
     if not d_values or not splits:
         raise SweepError("matrix axes must be non-empty")
     shares = sorted(splits)
     for s in shares:
         if not 0.0 <= s <= 1.0:
             raise SweepError(f"offered split must lie in [0,1], got {s}")
-    rows = []
+    runs = []
     for d in sorted(d_values):
         utility = compile_player(with_param(recipient, "d", d), cfg)
-        rows.extend({"d": d, "split": s, "accepted": int(accepts_offer(utility, cfg, s))} for s in shares)
-    return rows
+        runs.append(((d,), (shares, [int(accepts_offer(utility, cfg, s)) for s in shares])))
+    return Table(ACCEPTANCE_MATRIX_COLUMNS, runs)
 
 
 TAU_CURVES_COLUMNS: Columns = (("gamma", float), ("d", float), ("tau", float))
 
 
-def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[str, object]]:
-    """Association-derived threshold per (gamma, distance); ``PlayerSpec`` checks each gamma and d once."""
+def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> Table:
+    """Association-derived threshold per (gamma, distance): one run per gamma, sharing one distance column.
+
+    ``PlayerSpec`` checks each gamma and d once.
+    """
     if not gammas or not d_values:
         raise SweepError("tau-curve axes must be non-empty")
     mode, lens = FairnessMode.association(), PayoffLens()
@@ -135,8 +176,8 @@ def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> List[Dict[
         PlayerSpec(g, 0.0, mode, lens)
     for d in d_values:
         PlayerSpec(0.0, d, mode, lens)
-    gammas, d_values = sorted(gammas), sorted(d_values)
-    return [{"gamma": g, "d": d, "tau": association_tau(g, d)} for g in gammas for d in d_values]
+    ds = sorted(d_values)
+    return Table(TAU_CURVES_COLUMNS, [((g,), (ds, [association_tau(g, d) for d in ds])) for g in sorted(gammas)])
 
 
 GAME_GRID_COLUMNS: Columns = (("axis1", float), ("axis2", float), ("proposed_split", float), ("accepted", int))
@@ -148,15 +189,17 @@ def game_grid(
     cfg: GameConfig,
     axis1: Tuple[str, Sequence[float]],
     axis2: Tuple[str, Sequence[float]],
-) -> List[Dict[str, object]]:
+) -> Table:
     """Settled game per cell of two varied player parameters.
 
     Axis names take the form ``allocator.gamma`` or ``recipient.d``. Each
     cell is one ``play`` of its pair, so a call costs one allocator
-    ``game.argmax`` per cell whichever parameters its axes vary. The rows
-    are split into one contiguous chunk per usable CPU, and every chunk
-    but the first is played in a forked child; the rows come back in
-    order, so the output does not depend on the number of CPUs.
+    ``game.argmax`` per cell whichever parameters its axes vary. Each
+    axis-1 value is one run, and every run shares one axis-2 column. The
+    runs are split into one contiguous chunk per usable CPU, and every
+    chunk but the first is played in a forked child, which sends back its
+    runs' columns; the runs come back in order, so the output does not
+    depend on the number of CPUs.
     """
 
     def apply(alloc: PlayerSpec, recip: PlayerSpec, name: str, value: float):
@@ -182,19 +225,19 @@ def game_grid(
         apply(*starts[0], name2, v2)
     starts += [apply(allocator, recipient, name1, v1) for v1 in values1[1:]]
 
-    def play_rows(chunk: List[Tuple[PlayerSpec, PlayerSpec]]) -> List[List[Tuple[float, bool]]]:
-        outcomes = ((play(*apply(a, r, name2, v2), cfg) for v2 in values2) for a, r in chunk)
-        return [[(o.proposed_split.own_share, o.accepted) for o in row] for row in outcomes]
+    def play_runs(chunk: List[Tuple[PlayerSpec, PlayerSpec]]) -> List[Tuple[List[float], List[int]]]:
+        """Each start's proposed_split and accepted columns."""
+        runs = []
+        for a, r in chunk:
+            outcomes = [play(*apply(a, r, name2, v2), cfg) for v2 in values2]
+            runs.append(([o.proposed_split.own_share for o in outcomes], [int(o.accepted) for o in outcomes]))
+        return runs
 
     n = min(_usable_cpus(), len(starts)) if hasattr(os, "fork") else 1
     bounds = [len(starts) * i // n for i in range(n + 1)]
     chunks = [starts[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    played = [row for part in _fan_out(play_rows, chunks) for row in part]
-    return [
-        {"axis1": v1, "axis2": v2, "proposed_split": split, "accepted": int(accepted)}
-        for v1, row in zip(values1, played)
-        for v2, (split, accepted) in zip(values2, row)
-    ]
+    played = [run for part in _fan_out(play_runs, chunks) for run in part]
+    return Table(GAME_GRID_COLUMNS, [((v1,), (values2, *columns)) for v1, columns in zip(values1, played)])
 
 
 def _usable_cpus() -> int:

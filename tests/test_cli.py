@@ -13,7 +13,6 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
-from typing import Optional
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -345,7 +344,8 @@ def test_a_config_file_call_resolves_once(monkeypatch, tmp_path, capsys):
 
 def test_a_sweep_gets_the_objects_resolve_built(monkeypatch, capsys):
     made, calls = _resolutions(monkeypatch), []
-    monkeypatch.setattr(sweep, "game_grid", lambda *args: calls.append(args) or [])
+    empty = sweep.Table(sweep.GAME_GRID_COLUMNS, [])
+    monkeypatch.setattr(sweep, "game_grid", lambda *args: calls.append(args) or empty)
     assert run(["game-grid"]) == 0
     [resolved], [(allocator, recipient, game, (_, axis1), (_, axis2))] = made, calls
     assert allocator is resolved.allocator and recipient is resolved.recipient and game is resolved.game
@@ -417,7 +417,8 @@ def test_every_output_has_the_readme_columns(capsys):
     assert set(tables) == {"utility-curves", "acceptance-matrix", "tau-curves", "game-grid"}
     for command, columns in tables.items():
         cfg = RunConfig()
-        declared, build = cli._table(command, cfg.sweep, resolve(cfg))[2]
+        build = cli._table(command, cfg.sweep, resolve(cfg))[2]
+        declared = build().columns
         assert [name for name, _ in declared] == columns
         assert all(list(row) == columns for row in build())
         assert run([command]) == 0
@@ -431,47 +432,78 @@ def test_every_output_has_the_readme_columns(capsys):
 
 
 # Floats whose 6-decimal rendering is easy to get wrong: a signed zero, a
-# value that rounds to -0.0, reprs with an exponent, a half-way value, and
-# the non-finite floats that JSON writes NaN and Infinity.
-_SPECIAL_FLOATS = [-0.0, -4e-7, 1e-05, 1.5e16, 0.1234565, math.nan, math.inf, -math.inf]
+# value that rounds to -0.0 or to 0.0, reprs with an exponent, a half-way
+# value, and the non-finite floats that JSON writes NaN and Infinity.
+_SPECIAL_FLOATS = [-0.0, -4e-7, 1e-07, 1e-05, 5e-05, 1e16, 1.5e16, 0.1234565, math.nan, math.inf, -math.inf]
 _TABLES = [sweep.UTILITY_CURVES_COLUMNS, sweep.ACCEPTANCE_MATRIX_COLUMNS, sweep.TAU_CURVES_COLUMNS,
            sweep.GAME_GRID_COLUMNS]
+_CELLS = {
+    float: st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats()),
+    int: st.integers(-2 ** 63, 2 ** 63),
+    str: st.sampled_from(["d", "gamma", "tau", sweep.ENVELOPE_MIN, sweep.ENVELOPE_MAX]),
+}
 
 
-_cell_floats = st.one_of(st.sampled_from(_SPECIAL_FLOATS), st.floats())
+@st.composite
+def _tables(draw):
+    """A table of 1-5 runs of one declared column set.
+
+    Each run fixes a leading prefix of the columns. A varying column is
+    either the run's own or one object that other runs of its length and
+    cell format share, and an envelope run of utility-curves has a None
+    curve_value.
+    """
+    columns = draw(st.sampled_from(_TABLES))
+    kinds = [kind for _, kind in columns]
+    shared, runs = {}, []
+    for _ in range(draw(st.integers(1, 5))):
+        k, n = draw(st.integers(0, len(columns) - 1)), draw(st.integers(1, 6))
+        fixed = tuple(draw(_CELLS[kind]) for kind in kinds[:k])
+        if k >= 2 and columns == sweep.UTILITY_CURVES_COLUMNS and draw(st.booleans()):
+            fixed = (draw(st.sampled_from([sweep.ENVELOPE_MIN, sweep.ENVELOPE_MAX])), None) + fixed[2:]
+        varying = []
+        for kind in kinds[k:]:
+            own = draw(st.lists(_CELLS[kind], min_size=n, max_size=n))
+            varying.append(shared.setdefault((kind, n), own) if draw(st.booleans()) else own)
+        runs.append((fixed, tuple(varying)))
+    return sweep.Table(columns, runs)
 
 
-def _row(columns, envelope):
-    """A row of a declared table; an envelope row has a None curve_value."""
-    cells = {
-        str: st.sampled_from([sweep.ENVELOPE_MIN, sweep.ENVELOPE_MAX] if envelope else ["d", "gamma", "tau"]),
-        Optional[float]: st.none() if envelope else _cell_floats,
-        float: _cell_floats,
-        int: st.integers(-2 ** 63, 2 ** 63),
-    }
-    names = [name for name, _ in columns]
-    return st.tuples(*(cells[kind] for _, kind in columns)).map(lambda values: dict(zip(names, values)))
-
-
-def _table_rows(columns):
-    rows = _row(columns, False)
-    if any(kind == Optional[float] for _, kind in columns):
-        rows = st.one_of(rows, _row(columns, True))
-    return st.tuples(st.just(columns), st.lists(rows, min_size=1, max_size=20))
-
-
-@given(table=st.sampled_from(_TABLES).flatmap(_table_rows))
-@example(table=(sweep.UTILITY_CURVES_COLUMNS, [
-    {"curve_param": "d", "curve_value": v, "split": v, "utility": -v, "is_best_split": 1, "is_min_acceptable": 0}
-    for v in _SPECIAL_FLOATS
-] + [{"curve_param": sweep.ENVELOPE_MAX, "curve_value": None, "split": 0.5, "utility": 0.1234565,
-      "is_best_split": 0, "is_min_acceptable": 0}]))
+@given(table=_tables())
+@example(table=sweep.Table(sweep.UTILITY_CURVES_COLUMNS, [
+    (("d", v), ([v], [-v], [1], [0])) for v in _SPECIAL_FLOATS
+] + [((sweep.ENVELOPE_MAX, None), ([0.5], [0.1234565], [0], [0]))]))
 @settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
 def test_render_gives_the_reference_bytes(table):
-    # the per-table templates write what the renderer that read each cell's type wrote
-    columns, rows = table
+    # the per-run templates write what the renderer that read each cell's type wrote for the table's rows
     for fmt in ("csv", "json"):
-        assert cli._render(rows, columns, fmt) == reference_render(rows, fmt)
+        assert cli._render(table, fmt) == reference_render(list(table), fmt)
+
+
+@pytest.mark.parametrize("argv, name, n", [
+    (["utility-curves", "--grid-step", "0.5", "--curve-param", "d", "--curve-values", "0.0,-0.0"], "curve_value", 3),
+    (["tau-curves", "--gamma", "0.0,-0.0", "--d-max", "1", "--d-step", "0.5"], "gamma", 3),
+    (None, "d", 1),
+], ids=["utility-curves", "tau-curves", "equal-columns"])
+def test_runs_that_compare_equal_stay_apart(argv, name, n, capsys):
+    # a 0.0 run and a -0.0 run of n rows each are two runs, each with its own fixed cell;
+    # without argv, two distinct column objects of equal values, 0.0 and -0.0, each get their own text
+    for fmt in ("csv", "json"):
+        if argv is None:
+            table = sweep.Table(sweep.TAU_CURVES_COLUMNS, [((0.5,), ([0.0], [0.0])), ((0.5,), ([-0.0], [-0.0]))])
+            out = cli._render(table, fmt)
+        else:
+            assert run(argv + ["--format", fmt]) == 0
+            out = capsys.readouterr().out
+            table = cli._effective_config(cli.build_parser().parse_args(argv + ["--format", fmt]))[2]()
+        assert out == reference_render(list(table), fmt)
+        if fmt == "csv":
+            lines = out.splitlines()
+            column = lines[0].split(",").index(name)
+            cells = [line.split(",")[column] for line in lines[1:2 * n + 1]]
+        else:
+            cells = [repr(row[name]) for row in json.loads(out)[:2 * n]]
+        assert cells == [("0.000000" if fmt == "csv" else "0.0")] * n + [("-0.000000" if fmt == "csv" else "-0.0")] * n
 
 
 class TestFilesAndPrecedence:
@@ -714,6 +746,9 @@ def test_counted_rows_are_the_emitted_rows(command, grid_step, d_axis, split_ste
     rc, out, _ = _run_logged(argv)
     assert rc == 0
     emitted = len(out.splitlines()) - 1
+    # the table the sweep returns holds as many rows as the arithmetic count
+    cfg, resolved, build = cli._effective_config(cli.build_parser().parse_args(argv))
+    assert len(build()) == cli._table(command, cfg.sweep, resolved)[0] == emitted
     # one row over the bound: exit 2 with nothing written, --print-config too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "MAX_POINTS", emitted - 1)

@@ -128,6 +128,14 @@ class TestUtilityCurves:
             )
             assert abs(marked[0] - oracle_best) <= cfg.grid_step + 1e-12
 
+    def test_one_run_per_curve_on_the_shared_split_grid(self):
+        cfg = GameConfig(grid_step=0.05)
+        table = utility_curves(player(), cfg, "d", [0.0, 1.0])
+        fixed = [("d", 0.0), ("d", 1.0), (ENVELOPE_MIN, None), (ENVELOPE_MAX, None)]
+        assert [cells for cells, _ in table.runs] == fixed
+        assert all(varying[0] is cfg.splits() for _, varying in table.runs)
+        assert len(table) == 4 * len(cfg.splits())
+
     def test_bad_curve_param(self):
         with pytest.raises(SweepError):
             utility_curves(player(), GameConfig(), "epsilon", [0.1])
@@ -154,6 +162,13 @@ class TestAcceptanceMatrix:
         rows = acceptance_matrix(base, GameConfig(), [1.0, 0.0], [0.5, 0.0, 1.0])
         coords = [(r["d"], r["split"]) for r in rows]
         assert coords == sorted(coords)
+
+    def test_one_run_per_distance_sharing_one_split_column(self):
+        table = acceptance_matrix(player(), GameConfig(), [1.0, 0.0, 2.0], [0.5, 0.0, 1.0])
+        assert [fixed for fixed, _ in table.runs] == [(0.0,), (1.0,), (2.0,)]
+        (_, (splits, _)), *others = table.runs
+        assert splits == [0.0, 0.5, 1.0]
+        assert all(varying[0] is splits for _, varying in others)
 
     def test_empty_axis_rejected(self):
         with pytest.raises(SweepError):
@@ -191,6 +206,13 @@ class TestTauCurves:
     def test_threshold_is_the_association_tau(self):
         rows = tau_curves([0.2, 0.45], axis_values(0.0, 2.4, 0.2))
         assert all(r["tau"] == association_tau(r["gamma"], r["d"]) for r in rows)
+
+    def test_one_run_per_gamma_sharing_one_distance_column(self):
+        table = tau_curves([0.8, 0.2, 0.5], [2.0, 0.0, 1.0])
+        assert [fixed for fixed, _ in table.runs] == [(0.2,), (0.5,), (0.8,)]
+        (_, (ds, _)), *others = table.runs
+        assert ds == [0.0, 1.0, 2.0]
+        assert all(varying[0] is ds for _, varying in others)
 
     def test_lower_gamma_dominates(self):
         rows = tau_curves([0.2, 0.8], axis_values(0.0, 2.4, 0.2))
@@ -240,7 +262,7 @@ class TestGameGrid:
             ("allocator.gamma", [0.2]),
             ("recipient.d", [1.0]),
         )
-        assert rows == [
+        assert list(rows) == [
             {"axis1": 0.2, "axis2": 1.0, "proposed_split": 1.0, "accepted": 0}
         ]
 
@@ -328,6 +350,16 @@ class TestGameGridWorkers:
     @pytest.mark.parametrize("axes", GRIDS)
     def test_same_rows_with_one_and_two_workers(self, monkeypatch, axes):
         assert self.grid(monkeypatch, 2, axes) == self.grid(monkeypatch, 1, axes)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_run_per_axis1_value_sharing_one_axis2_column(self, monkeypatch, workers):
+        table = self.grid(monkeypatch, workers)
+        name1, values1, name2, values2 = GRIDS[0]
+        assert [fixed for fixed, _ in table.runs] == [(v,) for v in sorted(values1)]
+        (_, (axis2, *_)), *others = table.runs
+        assert axis2 == sorted(values2)
+        assert all(varying[0] is axis2 for _, varying in others)
         self.assert_no_child_left()
 
     def test_more_workers_than_rows(self, monkeypatch):
