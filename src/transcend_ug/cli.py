@@ -22,11 +22,11 @@ from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, 
 from .game import MAX_POINTS, ConfigError, play
 from .identity import IdentityError
 from .payoff import LensConfigError
-from .sweep import SweepError, Table, axis_points, axis_values
+from .sweep import Table, axis_values
 
 log = logging.getLogger("transcend_ug")
 
-_CONFIG_ERRORS = (ConfigFileError, ConfigError, SweepError, LensConfigError, IdentityError)
+_CONFIG_ERRORS = (ConfigFileError, ConfigError, LensConfigError, IdentityError)
 
 
 def _rounded(record: Dict[str, object]) -> Dict[str, object]:
@@ -128,8 +128,8 @@ def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Op
 def _table(command: str, s: SweepSection, resolved: Resolved) -> Tuple[int, str, Callable[[], Table]]:
     """A table subcommand's row count, the config fields it comes from and the sweep call that builds the table.
 
-    The count is arithmetic, by the rules that build each step-built axis,
-    and only for the axes this subcommand builds: none exists until the call runs.
+    The count is arithmetic, from the axis point counts that ``resolve``
+    checked: no axis exists until the call runs.
     """
     game, lists = resolved.game, resolved.lists
     d_axis = (s.d_min, s.d_max, s.d_step, "sweep.d_step")
@@ -137,23 +137,23 @@ def _table(command: str, s: SweepSection, resolved: Resolved) -> Tuple[int, str,
 
     if command == "utility-curves":
         # an empty list means the parameter's default family; None stands for the distance axis
-        if s.curve_values.strip():
+        if lists["curve_values"]:
             values = lists["curve_values"]
         elif s.curve_param == "d":
             values = None
         else:
             values = lists["gammas"] if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
-        curves = axis_points(*d_axis) if values is None else len(values)
+        curves = resolved.d_points if values is None else len(values)
         return ((curves + 2) * (game.grid_cells + 1), "sweep.curve_values x game.grid_step",
                 lambda: sweep_mod.utility_curves(resolved.allocator, game, s.curve_param,
                                                  axis_values(*d_axis) if values is None else values))
     if command == "acceptance-matrix":
-        return (axis_points(*d_axis) * axis_points(*split_axis), "sweep.d_step x sweep.split_step",
+        return (resolved.d_points * resolved.split_points, "sweep.d_step x sweep.split_step",
                 lambda: sweep_mod.acceptance_matrix(resolved.recipient, game, axis_values(*d_axis),
                                                     axis_values(*split_axis)))
     if command == "tau-curves":
         gammas = lists["gammas"]
-        return (len(gammas) * axis_points(*d_axis), "sweep.gammas x sweep.d_step",
+        return (len(gammas) * resolved.d_points, "sweep.gammas x sweep.d_step",
                 lambda: sweep_mod.tau_curves(gammas, axis_values(*d_axis)))
     axis1, axis2 = lists["axis1_values"], lists["axis2_values"]
     return (len(axis1) * len(axis2), "sweep.axis1_values x sweep.axis2_values",

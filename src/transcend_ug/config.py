@@ -10,8 +10,10 @@ what the name cannot say (on-disk ``key``, ``flag``, ``help``,
 ``choices``). Config keys, flags and ``dump_config`` derive from
 ``PARAMS``; ``parse_value`` reads a file key's and a flag's text alike.
 Loading only reads: ``resolve`` alone checks choices and ranges, once per
-call. Range checks live in the domain constructors, which it builds,
-naming their errors by config path; the run uses the objects it built.
+call and whatever the subcommand, so ``--print-config`` refuses what the
+run refuses. Range checks live in the domain constructors and in
+``game.axis_points``, which it calls, naming their errors by config path;
+the run uses the objects it built.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from .game import MAX_POINTS, ConfigError, GameConfig, TieBreak
+from .game import ConfigError, GameConfig, TieBreak, axis_points
 from .identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
 from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens
 from .sweep import with_param
@@ -169,10 +171,12 @@ class Resolved(NamedTuple):
     allocator: PlayerSpec
     recipient: PlayerSpec
     lists: Dict[str, List[float]]  # the sweep comma lists, parsed, by field name
+    d_points: int  # points of the sweep.d_step axis
+    split_points: int  # points of the sweep.split_step axis
 
 
 def resolve(cfg: RunConfig) -> Resolved:
-    """The game, players and sweep lists of a config, or the error naming the config path of its first fault."""
+    """The game, players, sweep lists and axis sizes of a config, or the error naming the path of its first fault."""
     for p in PARAMS:
         value = getattr(getattr(cfg, p.attr), p.name)
         if p.type is float and not math.isfinite(value):
@@ -182,43 +186,45 @@ def resolve(cfg: RunConfig) -> Resolved:
     s = cfg.sweep
     if s.axis1 == s.axis2:
         raise ConfigFileError(f"sweep.axis2 must differ from sweep.axis1, both are {s.axis1}")
-    if not s.d_max > s.d_min:
-        raise ConfigFileError(f"sweep.d_max must exceed sweep.d_min, got [{s.d_min}, {s.d_max}]")
-    for name in ("d_step", "split_step"):
-        if not getattr(s, name) > 0.0:
-            raise ConfigFileError(f"sweep.{name} must be > 0, got {getattr(s, name)}")
-    # counted before any axis is built; GameConfig counts game.grid_step's points itself
-    for path, span, step in (("sweep.split_step", 1.0, s.split_step), ("sweep.d_step", s.d_max - s.d_min, s.d_step)):
-        points = span / step + 1.0
-        if points > MAX_POINTS:
-            raise ConfigFileError(
-                f"{path} {step} gives {points:.0f} points, more than the limit of {MAX_POINTS}")
     with _named("game"):
         game = GameConfig(**dict(vars(cfg.game), tie_break=TieBreak(cfg.game.tie_break)))
     with _named("payoff"):
         lens = PayoffLens(LensFamily(cfg.payoff.family), loss_aversion=cfg.payoff.lam, steepness=cfg.payoff.k)
-    players = []
+    players = {}
     for role in ("allocator", "recipient"):
         a = getattr(cfg, role)
         with _named(f"agent.{role}"):
             kind = FairnessKind(a.fairness_mode)
             mode = FairnessMode.agent_tau(a.tau)  # range-checked in every mode, not only where consulted
-            players.append(PlayerSpec(a.gamma, a.distance, mode if kind is mode.kind else FairnessMode(kind), lens))
+            players[role] = PlayerSpec(a.gamma, a.distance, mode if kind is mode.kind else FairnessMode(kind), lens)
     # Each sweep entry sets one player parameter and is range-checked here as
-    # that parameter, in every mode. The probe is an agent_tau player, so the
-    # check that a tau axis meets an agent_tau player stays in the sweep.
+    # that parameter, in every mode. The probe is an agent_tau player, so that
+    # a tau entry is range-checked whatever the mode of the player it varies.
     probe = PlayerSpec(0.0, 0.0, FairnessMode.agent_tau(0.0), lens)
     with _named("sweep", "d_min"):
         with_param(probe, "d", s.d_min)
-    # parsed and checked one list at a time, so the first faulty list is named
+    # game.axis_points counts each step-built axis, checked by the rule that builds it
+    d_points = axis_points(s.d_min, s.d_max, s.d_step, "sweep.d_step")
+    split_points = axis_points(0.0, 1.0, s.split_step, "sweep.split_step")
+    # parsed and checked one list at a time, so the first faulty list is named;
+    # only sweep.curve_values may be empty, meaning the parameter's default family
     lists = {}
     for name, param in (("gammas", "gamma"), ("curve_values", s.curve_param),
                         ("axis1_values", s.axis1.partition(".")[2]), ("axis2_values", s.axis2.partition(".")[2])):
-        lists[name] = parse_value_list(getattr(s, name), f"sweep.{name}")
+        raw = getattr(s, name)
+        lists[name] = parse_value_list(raw, f"sweep.{name}")
         with _named("sweep", name):
             for value in lists[name]:
                 with_param(probe, param, value)
-    return Resolved(game, *players, lists)
+        if not lists[name] and (name != "curve_values" or raw.strip()):
+            raise ConfigFileError(f"sweep.{name} must hold at least one value, got {raw!r}")
+    # a tau that a sweep varies needs its player in agent_tau mode; the curves vary the allocator
+    for key, axis in (("curve_param", f"allocator.{s.curve_param}"), ("axis1", s.axis1), ("axis2", s.axis2)):
+        role, _, param = axis.partition(".")
+        if param == "tau":
+            with _named("sweep", key):
+                with_param(players[role], param, 0.0)
+    return Resolved(game, players["allocator"], players["recipient"], lists, d_points, split_points)
 
 
 def parse_value_list(raw: str, path: str) -> List[float]:
@@ -251,7 +257,7 @@ def loads_config(text: str, source: str = "<config>") -> RunConfig:
 
 def load_config(path: str) -> RunConfig:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark, if any, is not text
             text = fh.read()
     except OSError as exc:
         raise ConfigFileError(f"cannot read config {path}: {exc}")

@@ -50,6 +50,34 @@ class ConfigError(ValueError):
     """Raised on invalid game configuration."""
 
 
+class SweepError(ConfigError):
+    """Raised on a malformed step-built axis or sweep."""
+
+
+def axis_points(lo: float, hi: float, step: float, name: str = "step") -> int:
+    """Points of ``axis_values(lo, hi, step, name)``, counted, not built: the one rule of every step-built axis."""
+    if not all(map(math.isfinite, (lo, hi, step))):
+        raise SweepError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
+    axis = name.rpartition("step")[0]  # the bounds of step "sweep.d_step" are "sweep.d_min" and "sweep.d_max"
+    if not hi > lo:
+        raise SweepError(f"{axis}max must exceed {axis}min, got [{lo}, {hi}]")
+    if not step > 0.0:
+        raise SweepError(f"{name} must be > 0, got {step}")
+    span = (hi - lo) / step
+    if span + 1.0 > MAX_POINTS:
+        raise SweepError(f"{name} {step} gives {span + 1.0:.0f} points, more than the limit of {MAX_POINTS}")
+    n = round(span)
+    if abs(span - n) > STEP_SLACK * max(1, n):
+        raise SweepError(f"{name} {step} does not divide the span [{lo}, {hi}] evenly")
+    return n + 1
+
+
+def axis_values(lo: float, hi: float, step: float, name: str = "step") -> List[float]:
+    """Inclusive arithmetic grid from lo to hi; step, named ``name`` in errors, must divide the span."""
+    n = axis_points(lo, hi, step, name) - 1
+    return [lo + (hi - lo) * i / n for i in range(n + 1)]
+
+
 class Blocks(NamedTuple):
     """The split grid in runs of about sqrt(n) shares, with each run's utility bound point."""
 
@@ -77,17 +105,11 @@ class GameConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.grid_step <= 0.5:
             raise ConfigError(f"grid_step must lie in (0, 0.5], got {self.grid_step}")
-        points = 1.0 / self.grid_step + 1.0  # counted before the grid is built
-        if points > MAX_POINTS:
-            raise ConfigError(
-                f"grid_step {self.grid_step} gives {points:.0f} points, more than the limit of {MAX_POINTS}")
+        axis_points(0.0, 1.0, self.grid_step, "grid_step")
         if not 0.0 < self.tolerance <= MAX_TOLERANCE:
             raise ConfigError(f"tolerance must lie in (0, {MAX_TOLERANCE}], got {self.tolerance}")
         if not math.isfinite(self.accept_threshold):
             raise ConfigError(f"accept_threshold must be finite, got {self.accept_threshold}")
-        cells = 1.0 / self.grid_step
-        if abs(cells - round(cells)) > STEP_SLACK * round(cells):
-            raise ConfigError(f"grid_step {self.grid_step} does not divide 1 evenly")
 
     @property
     def grid_cells(self) -> int:

@@ -8,11 +8,11 @@ ascending coordinate order.
 from __future__ import annotations
 
 import marshal
-import math
 import os
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .game import STEP_SLACK, GameConfig, accepts_offer, compile_player, play, scan
+# the step-built-axis rule and SweepError live in game; sweep callers may import them from here
+from .game import GameConfig, SweepError, accepts_offer, axis_points, axis_values, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
 from .payoff import PayoffLens
 
@@ -54,29 +54,6 @@ class Table:
         return sum(len(varying[0]) for _, varying in self.runs)
 
 
-class SweepError(ValueError):
-    """Raised on malformed sweep axes."""
-
-
-def axis_values(lo: float, hi: float, step: float, name: str = "step") -> List[float]:
-    """Inclusive arithmetic grid from lo to hi; step, named ``name`` in errors, must divide the span."""
-    n = axis_points(lo, hi, step, name) - 1
-    return [lo + (hi - lo) * i / n for i in range(n + 1)]
-
-
-def axis_points(lo: float, hi: float, step: float, name: str = "step") -> int:
-    """Number of points of ``axis_values(lo, hi, step, name)``, checked by the same rules but not built."""
-    if not all(map(math.isfinite, (lo, hi, step))):
-        raise SweepError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
-    if not (hi > lo and step > 0.0):
-        raise SweepError(f"axis must satisfy min < max and step > 0, got [{lo}, {hi}] step {step}")
-    span = (hi - lo) / step
-    n = round(span)
-    if abs(span - n) > STEP_SLACK * max(1, n):
-        raise SweepError(f"{name} {step} does not divide the span [{lo}, {hi}] evenly")
-    return n + 1
-
-
 def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
     """Copy of a player spec with one of {gamma, d, tau} replaced."""
     if name == "gamma":
@@ -85,7 +62,7 @@ def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
         return PlayerSpec(spec.gamma, value, spec.mode, spec.lens)
     if name == "tau":
         if spec.mode.kind is not FairnessKind.AGENT_TAU:
-            raise SweepError("tau axis requires agent_tau fairness mode")
+            raise SweepError(f"tau requires agent_tau fairness mode, got {spec.mode.kind.value}")
         return PlayerSpec(spec.gamma, spec.d, FairnessMode.agent_tau(value), spec.lens)
     raise SweepError(f"unknown player parameter {name!r}")
 

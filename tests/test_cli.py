@@ -284,9 +284,13 @@ class TestCliExitCodes:
     @pytest.mark.parametrize(
         "argv", [["game-grid", "--d-step", "0.7"], ["utility-curves", "--curve-values", "0.3", "--d-step", "0.7"]]
     )
-    def test_step_of_an_axis_the_subcommand_does_not_build_is_not_checked(self, argv, capsys):
-        assert run(argv) == 0
-        assert run(argv + ["--print-config"]) == 0
+    def test_step_is_checked_whatever_the_subcommand(self, argv, capsys, caplog):
+        # neither subcommand builds the distance axis, but its step is checked as for one that does
+        for extra in ([], ["--print-config"]):
+            caplog.clear()
+            assert run(argv + extra) == 2
+            assert capsys.readouterr().out == ""
+            assert "sweep.d_step 0.7 does not divide" in caplog.text
 
     def test_largest_tolerance_is_accepted(self, capsys):
         argv = ["play", "--recipient-mode", "agent_tau", "--recipient-tau", "0.9"]
@@ -528,6 +532,16 @@ class TestFilesAndPrecedence:
         text = capsys.readouterr().out
         assert loads_config(text) == loads_config(dump_config(loads_config(text)))
 
+    def test_byte_order_mark_is_not_read_as_text(self, tmp_path, capsys):
+        # some editors start a UTF-8 file with a byte-order mark
+        dumps = []
+        for name, encoding in (("plain.cfg", "utf-8"), ("marked.cfg", "utf-8-sig")):
+            (tmp_path / name).write_text(MINIMAL + "\n[game]\ngrid_step = 0.05\n", encoding=encoding)
+            assert run(["play", "--config", str(tmp_path / name), "--print-config"]) == 0
+            dumps.append(capsys.readouterr().out)
+        assert (tmp_path / "marked.cfg").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert dumps[0] == dumps[1] and "grid_step = 0.05\n" in dumps[0]
+
     def test_repeat_runs_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         argv = ["utility-curves", "--allocator-mode", "agent_tau", "--allocator-tau", "0.5"]
@@ -563,16 +577,16 @@ FLAG_TABLE = {
     "payoff.family": ("--payoff-family", "linear", "linear"),
     "payoff.k": ("--payoff-k", "12.5", "12.5"),
     "payoff.lambda": ("--payoff-lambda", "2.5", "2.5"),
-    "sweep.d_min": ("--d-min", "0.1", "0.1"),
-    "sweep.d_max": ("--d-max", "2.1", "2.1"),
-    "sweep.d_step": ("--d-step", "0.5", "0.5"),
+    "sweep.d_min": ("--d-min", "0.2", "0.2"),
+    "sweep.d_max": ("--d-max", "2.2", "2.2"),
+    "sweep.d_step": ("--d-step", "0.4", "0.4"),
     "sweep.split_step": ("--split-step", "0.1", "0.1"),
     "sweep.curve_param": ("--curve-param", "gamma", "gamma"),
     "sweep.curve_values": ("--curve-values", "0.1,0.2", "0.1,0.2"),
     "sweep.gammas": ("--gamma", "0.3,0.5", "0.3,0.5"),
     "sweep.axis1": ("--axis1", "allocator.d", "allocator.d"),
     "sweep.axis1_values": ("--axis1-values", "0.5,1", "0.5,1"),
-    "sweep.axis2": ("--axis2", "recipient.tau", "recipient.tau"),
+    "sweep.axis2": ("--axis2", "recipient.d", "recipient.d"),
     "sweep.axis2_values": ("--axis2-values", "0.2,0.3", "0.2,0.3"),
     "output.path": ("--output", "out.csv", "out.csv"),
     "output.format": ("--format", "json", "json"),
@@ -688,6 +702,8 @@ _bad_settings = st.one_of(
     # over the point budget: rejected before any axis is built
     st.tuples(st.sampled_from(["--grid-step", "--split-step", "--d-step"]),
               st.floats(1e-300, 1e-6).map(repr)),
+    # an uneven sweep step or an empty sweep list, whether or not the subcommand reads it
+    st.sampled_from([("--d-step", "0.7"), ("--split-step", "0.3"), ("--gamma", ",")]),
 )
 
 
@@ -711,6 +727,45 @@ def _run_logged(argv):
     finally:
         logger.removeHandler(handler)
     return rc, out, [r.getMessage() for r in handler.buffer]
+
+
+# Sweep and player settings: some invalid alone (an uneven or oversized step,
+# an empty or out-of-range list), some only together (a tau sweep and a mode).
+# Every valid combination runs in a few milliseconds.
+_SETTINGS = [
+    ("--d-step", "0.7"), ("--d-step", "0.4"), ("--d-step", "1e-9"), ("--d-min", "-1"), ("--d-min", "3"),
+    ("--split-step", "0.3"), ("--split-step", "0.25"), ("--split-step", "1e-9"), ("--grid-step", "1e-9"),
+    ("--gamma", ","), ("--gamma", "0.3"), ("--gamma", "1.5"),
+    ("--axis1-values", ","), ("--axis1-values", "0.5"), ("--axis1-values", "1.5"),
+    ("--axis2-values", ","), ("--axis2-values", "0.5,2"),
+    ("--curve-values", "0.5"), ("--curve-values", "-1"),
+    ("--curve-param", "tau"), ("--curve-param", "gamma"), ("--axis1", "allocator.tau"), ("--axis2", "recipient.tau"),
+    *[(f"--{role}-mode", mode) for role in ("allocator", "recipient")
+      for mode in ("baseline", "agent_tau", "association")],
+]
+
+
+def _example(command, *chosen):
+    return example(command=command, chosen=list(chosen))
+
+
+@given(command=st.sampled_from(["play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid"]),
+       chosen=st.lists(st.sampled_from(_SETTINGS), min_size=1, max_size=2))
+@_example("tau-curves", ("--gamma", ","))
+@_example("game-grid", ("--axis1-values", ","))
+@_example("utility-curves", ("--curve-param", "gamma"), ("--gamma", ","))
+@_example("utility-curves", ("--curve-param", "tau"), ("--allocator-mode", "association"))
+@_example("game-grid", ("--axis2", "recipient.tau"), ("--recipient-mode", "association"))
+@_example("game-grid", ("--axis1", "allocator.tau"), ("--allocator-mode", "baseline"))
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
+def test_print_config_refuses_what_the_run_refuses(command, chosen):
+    argv = [command] + [f"{flag}={value}" for flag, value in chosen]
+    ran, printed = _run_logged(argv), _run_logged(argv + ["--print-config"])
+    assert (ran[0] == 2) == (printed[0] == 2)
+    if ran[0] == 2:
+        # the same message both ways, naming the config key at fault, and nothing on stdout
+        assert ran == printed and ran[1] == ""
+        assert any(p.path in message for p in PARAMS for message in ran[2])
 
 
 _AXES = ["allocator.gamma", "allocator.d", "allocator.tau", "recipient.gamma", "recipient.d", "recipient.tau"]

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility
 from transcend_ug.game import (
@@ -9,9 +9,12 @@ from transcend_ug.game import (
     ConfigError,
     GameConfig,
     PlayerSpec,
+    SweepError,
     TieBreak,
     accepts,
     argmax,
+    axis_points,
+    axis_values,
     best_split,
     compile_player,
     min_acceptable_split,
@@ -34,6 +37,14 @@ def agent_tau(gamma, d, tau, lens=DEFAULT_LENS):
 
 def association(gamma, d, lens=DEFAULT_LENS):
     return PlayerSpec.two_party(gamma, d, FairnessMode.association(), lens)
+
+
+def _refuses(call, *args, **kwargs) -> bool:
+    try:
+        call(*args, **kwargs)
+    except ConfigError:
+        return True
+    return False
 
 
 class TestGameConfig:
@@ -63,6 +74,22 @@ class TestGameConfig:
         for threshold in (math.nan, math.inf, -math.inf):
             with pytest.raises(ConfigError):
                 GameConfig(accept_threshold=threshold)
+
+    # GameConfig checks grid_step by the rule that checks every sweep axis, and builds the same grid
+    @given(step=st.one_of(st.floats(0.0, 0.5, exclude_min=True), st.integers(2, 100_000).map(lambda n: 1 / n)))
+    @example(step=1e-9)
+    @example(step=0.03)
+    @example(step=0.3)
+    @example(step=1 / 3)
+    @example(step=0.0001)
+    @settings(deadline=None)
+    def test_one_axis_rule_for_the_game_grid_and_the_sweep_axes(self, step):
+        assert issubclass(SweepError, ConfigError)
+        refused = _refuses(GameConfig, grid_step=step)
+        assert refused == _refuses(axis_points, 0.0, 1.0, step)
+        if not refused:
+            grid, axis = GameConfig(grid_step=step).splits(), axis_values(0.0, 1.0, step)
+            assert list(map(float.hex, grid)) == list(map(float.hex, axis))
 
     def test_splits_cover_unit_interval(self):
         grid = GameConfig(grid_step=0.25).splits()
