@@ -15,7 +15,8 @@ import logging
 import os
 import sys
 import tempfile
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from . import sweep as sweep_mod
 from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, dump_config, load_config, parse_value, resolve
@@ -55,43 +56,63 @@ def _texts(column: Sequence, kind: type, fmt: str) -> List[str]:
     return list(column) if fmt == "csv" else list(map('"%s"'.__mod__, column))
 
 
-def _render(table: Table, fmt: str) -> str:
-    """A table as CSV or JSON, in the columns its sweep declares.
+def _render(table: Table, fmt: str) -> Iterator[str]:
+    """A table as CSV or JSON, in the columns its sweep declares, yielded as chunks of text, one run's rows at a time.
 
     Each run fills its own %-template, into which its fixed cells are
     written once; a None fixed cell (an envelope run's curve_value) is
-    empty in CSV and ``null`` in JSON. Each column object is formatted
-    once per call, however many runs share it, and the run's template is
-    mapped over its columns' texts.
+    empty in CSV and ``null`` in JSON. A column object that several runs
+    share is formatted once per call and its texts kept; a column that
+    one run holds is formatted for that run and dropped after it. The
+    run's template is mapped over its columns' texts, so a chunk holds
+    at most one run's rows and the joined chunks are the whole table.
     """
     names = [name for name, _ in table.columns]
     kinds = [kind for _, kind in table.columns]
-    formatted = {}  # a column's texts, by the id and cell format of a column the table holds
-    lines = [",".join(names)] if fmt == "csv" else []
+    holders = Counter(id(column) for _, varying in table.runs for column in varying)
+    shared = {}  # the texts of a column that more than one run holds, by its id and cell format
+    csv = fmt == "csv"
+    sep = "\n" if csv else ","
+    yield ",".join(names) if csv else "["
+    lead = csv  # a CSV run starts on a new line; a JSON run follows a comma unless it is the first
     for fixed, varying in table.runs:
-        cells = [("" if fmt == "csv" else "null") if value is None else _texts([value], kind, fmt)[0]
+        cells = [("" if csv else "null") if value is None else _texts([value], kind, fmt)[0]
                  for value, kind in zip(fixed, kinds)]
         cells += ["%s"] * len(varying)
-        template = ",".join(cells) if fmt == "csv" else "{" + ",".join(map('"%s":%s'.__mod__, zip(names, cells))) + "}"
+        template = ",".join(cells) if csv else "{" + ",".join(map('"%s":%s'.__mod__, zip(names, cells))) + "}"
         columns = []
         for column, kind in zip(varying, kinds[len(fixed):]):
             key = (id(column), kind)
-            if key not in formatted:
-                formatted[key] = _texts(column, kind, fmt)
-            columns.append(formatted[key])
-        lines += map(template.__mod__, zip(*columns))
-    return "\n".join(lines) + "\n" if fmt == "csv" else "[" + ",".join(lines) + "]\n"
+            texts = shared[key] if key in shared else _texts(column, kind, fmt)
+            if holders[id(column)] > 1:
+                shared[key] = texts
+            columns.append(texts)
+        text = sep.join(map(template.__mod__, zip(*columns)))
+        if text:  # every row holds a comma, so only a run of no rows is empty
+            if lead:
+                yield sep
+            yield text
+            lead = True
+    yield "\n" if csv else "]\n"
 
 
-def _write_output(text: str, path: str) -> None:
+def _write_output(chunks: Iterable[str], path: str) -> None:
+    """Write chunks of text in turn, to stdout for path ``-`` or else to the file at path.
+
+    A file is written as a temporary file beside it, renamed into place
+    once the last chunk is written and removed on any error, so the path
+    holds the whole output or is left as it was. Stdout gets each chunk
+    as it comes, so a failure after the first chunk leaves part of it
+    written.
+    """
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".out")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -209,10 +230,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         if build is None:
             outcome = play(resolved.allocator, resolved.recipient, resolved.game, offer=args.offer)
-            text = json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n"
+            chunks = (json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n",)
         else:
-            text = _render(build(), cfg.output.format)
-        _write_output(text, cfg.output.path)
+            chunks = _render(build(), cfg.output.format)  # the table is built before the first chunk is written
+        _write_output(chunks, cfg.output.path)
         return 0
     except _CONFIG_ERRORS as exc:
         log.error("%s", exc)

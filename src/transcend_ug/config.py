@@ -216,7 +216,7 @@ def resolve(cfg: RunConfig) -> Resolved:
         with _named("sweep", name):
             for value in lists[name]:
                 with_param(probe, param, value)
-        if not lists[name] and (name != "curve_values" or raw.strip()):
+        if not lists[name] and name != "curve_values":
             raise ConfigFileError(f"sweep.{name} must hold at least one value, got {raw!r}")
     # a tau that a sweep varies needs its player in agent_tau mode; the curves vary the allocator
     for key, axis in (("curve_param", f"allocator.{s.curve_param}"), ("axis1", s.axis1), ("axis2", s.axis2)):
@@ -228,8 +228,12 @@ def resolve(cfg: RunConfig) -> Resolved:
 
 
 def parse_value_list(raw: str, path: str) -> List[float]:
+    """The numbers of a comma list: blank text is no number, and a blank entry in a list is a missing one."""
+    tokens = raw.split(",") if raw.strip() else []
+    if not all(map(str.strip, tokens)):
+        raise ConfigFileError(f"{path} has an empty entry, got {raw!r}")
     try:
-        values = [float(tok) for tok in raw.split(",") if tok.strip()]
+        values = list(map(float, tokens))
     except ValueError:
         raise ConfigFileError(f"{path} must be a comma-separated list of numbers, got {raw!r}")
     if not all(map(math.isfinite, values)):

@@ -274,6 +274,15 @@ class TestCliExitCodes:
             (["acceptance-matrix", "--print-config", "--split-step", "0.3"], "sweep.split_step 0.3 does not divide"),
             (["utility-curves", "--print-config", "--d-step", "0.7"], "sweep.d_step 0.7 does not divide"),
             (["play", "--payoff-lambda", "1e308"], "payoff.lambda must be at most"),
+            # a step longer than its span would give an axis of one point and no interval
+            (["tau-curves", "--d-max", "1e-10"], "sweep.d_step 0.2 is longer than the span [0.0, 1e-10]"),
+            (["tau-curves", "--print-config", "--d-max", "1e-10"], "sweep.d_step 0.2 is longer than the span"),
+            (["acceptance-matrix", "--split-step", "1e10"], "sweep.split_step 10000000000.0 is longer than the span"),
+            (["utility-curves", "--d-step", "1e12"], "sweep.d_step 1000000000000.0 is longer than the span"),
+            # an empty entry in a comma list is a missing value, not a shorter list
+            (["tau-curves", "--gamma", "0.2,,0.4"], "sweep.gammas has an empty entry, got '0.2,,0.4'"),
+            (["utility-curves", "--curve-values", "0.5,"], "sweep.curve_values has an empty entry"),
+            (["play", "--print-config", "--axis2-values", ",0.5"], "sweep.axis2_values has an empty entry"),
         ],
     )
     def test_constructor_range_error_names_config_path(self, argv, path, capsys, caplog):
@@ -481,7 +490,12 @@ def _tables(draw):
 def test_render_gives_the_reference_bytes(table):
     # the per-run templates write what the renderer that read each cell's type wrote for the table's rows
     for fmt in ("csv", "json"):
-        assert cli._render(table, fmt) == reference_render(list(table), fmt)
+        assert "".join(cli._render(table, fmt)) == reference_render(list(table), fmt)
+
+
+def _built(argv):
+    """The table that a table subcommand's call builds."""
+    return cli._effective_config(cli.build_parser().parse_args(argv))[2]()
 
 
 @pytest.mark.parametrize("argv, name, n", [
@@ -495,11 +509,11 @@ def test_runs_that_compare_equal_stay_apart(argv, name, n, capsys):
     for fmt in ("csv", "json"):
         if argv is None:
             table = sweep.Table(sweep.TAU_CURVES_COLUMNS, [((0.5,), ([0.0], [0.0])), ((0.5,), ([-0.0], [-0.0]))])
-            out = cli._render(table, fmt)
+            out = "".join(cli._render(table, fmt))
         else:
             assert run(argv + ["--format", fmt]) == 0
             out = capsys.readouterr().out
-            table = cli._effective_config(cli.build_parser().parse_args(argv + ["--format", fmt]))[2]()
+            table = _built(argv + ["--format", fmt])
         assert out == reference_render(list(table), fmt)
         if fmt == "csv":
             lines = out.splitlines()
@@ -508,6 +522,60 @@ def test_runs_that_compare_equal_stay_apart(argv, name, n, capsys):
         else:
             cells = [repr(row[name]) for row in json.loads(out)[:2 * n]]
         assert cells == [("0.000000" if fmt == "csv" else "0.0")] * n + [("-0.000000" if fmt == "csv" else "-0.0")] * n
+
+
+@pytest.mark.parametrize("argv", [
+    ["tau-curves", "--gamma", "0.2,0.5,0.9"],
+    ["utility-curves", "--grid-step", "0.05"],
+    ["acceptance-matrix", "--split-step", "0.1"],
+    ["game-grid", "--axis1-values", "0.2,0.6", "--axis2-values", "0.1,0.4,0.7,1.0"],
+], ids=lambda argv: argv[0])
+def test_a_chunk_holds_at_most_one_run(argv):
+    # the render holds one run's text at a time, never the table's
+    table = _built(argv)
+    assert len(table.runs) > 1
+    for fmt, sep in (("csv", "\n"), ("json", ",")):
+        # each row's text, as a one-row table gives it, and the longest run's rows joined
+        rows = [reference_render([row], fmt) for row in table]
+        rows = [text.splitlines()[1] if fmt == "csv" else text[1:-2] for text in rows]
+        longest, start = 0, 0
+        for _, varying in table.runs:
+            longest = max(longest, len(sep.join(rows[start:start + len(varying[0])])))
+            start += len(varying[0])
+        chunks = list(cli._render(table, fmt))
+        assert "".join(chunks) == reference_render(list(table), fmt)
+        assert max(map(len, chunks)) <= longest
+        assert len(chunks) <= 2 * len(table.runs) + 2  # the head, each run after its separator, the end
+
+
+def _failing_in_second_run(monkeypatch):
+    """Make the render of ``tau-curves --gamma 0.25,0.75`` fail at the fixed gamma of its second run."""
+    texts = cli._texts
+
+    def failing(column, kind, fmt):
+        if list(column) == [0.75]:
+            raise RuntimeError("render failed")
+        return texts(column, kind, fmt)
+
+    monkeypatch.setattr(cli, "_texts", failing)
+    return ["tau-curves", "--gamma", "0.25,0.75"]
+
+
+def test_a_render_failure_leaves_no_file(tmp_path, monkeypatch, capsys, caplog):
+    argv = _failing_in_second_run(monkeypatch)
+    assert run(argv + ["--output", str(tmp_path / "curves.csv")]) == 1
+    assert capsys.readouterr().out == ""
+    assert "render failed" in caplog.text
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_stdout_gets_each_run_as_it_is_rendered(monkeypatch, capsys):
+    # the first run is written before the second is rendered, so a failure leaves it on stdout
+    argv = _failing_in_second_run(monkeypatch)
+    table = _built(argv)
+    first = reference_render(list(sweep.Table(table.columns, table.runs[:1])), "csv")
+    assert run(argv) == 1
+    assert capsys.readouterr().out == first[:-1]  # the header and the first run, with no closing newline
 
 
 class TestFilesAndPrecedence:
@@ -704,6 +772,10 @@ _bad_settings = st.one_of(
               st.floats(1e-300, 1e-6).map(repr)),
     # an uneven sweep step or an empty sweep list, whether or not the subcommand reads it
     st.sampled_from([("--d-step", "0.7"), ("--split-step", "0.3"), ("--gamma", ",")]),
+    # a sweep step longer than its span, whether or not the subcommand reads it
+    st.sampled_from([("--d-max", "1e-10"), ("--split-step", "1e10"), ("--d-step", "1e12")]),
+    # an empty entry in a comma list
+    st.tuples(st.sampled_from(_LIST_FLAGS), st.sampled_from(["0.2,,0.4", "0.5,", ",0.5"])),
 )
 
 
@@ -729,13 +801,15 @@ def _run_logged(argv):
     return rc, out, [r.getMessage() for r in handler.buffer]
 
 
-# Sweep and player settings: some invalid alone (an uneven or oversized step,
-# an empty or out-of-range list), some only together (a tau sweep and a mode).
+# Sweep and player settings: some invalid alone (an uneven or oversized step, a
+# step longer than its span, an empty list or list entry, an out-of-range list),
+# some only together (a tau sweep and a mode).
 # Every valid combination runs in a few milliseconds.
 _SETTINGS = [
     ("--d-step", "0.7"), ("--d-step", "0.4"), ("--d-step", "1e-9"), ("--d-min", "-1"), ("--d-min", "3"),
     ("--split-step", "0.3"), ("--split-step", "0.25"), ("--split-step", "1e-9"), ("--grid-step", "1e-9"),
-    ("--gamma", ","), ("--gamma", "0.3"), ("--gamma", "1.5"),
+    ("--d-max", "1e-10"), ("--split-step", "1e10"), ("--d-step", "1e12"),
+    ("--gamma", ","), ("--gamma", "0.2,,0.4"), ("--gamma", "0.3"), ("--gamma", "1.5"),
     ("--axis1-values", ","), ("--axis1-values", "0.5"), ("--axis1-values", "1.5"),
     ("--axis2-values", ","), ("--axis2-values", "0.5,2"),
     ("--curve-values", "0.5"), ("--curve-values", "-1"),
@@ -752,6 +826,9 @@ def _example(command, *chosen):
 @given(command=st.sampled_from(["play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid"]),
        chosen=st.lists(st.sampled_from(_SETTINGS), min_size=1, max_size=2))
 @_example("tau-curves", ("--gamma", ","))
+@_example("tau-curves", ("--d-max", "1e-10"))
+@_example("acceptance-matrix", ("--split-step", "1e10"))
+@_example("utility-curves", ("--d-step", "1e12"))
 @_example("game-grid", ("--axis1-values", ","))
 @_example("utility-curves", ("--curve-param", "gamma"), ("--gamma", ","))
 @_example("utility-curves", ("--curve-param", "tau"), ("--allocator-mode", "association"))
@@ -761,7 +838,9 @@ def _example(command, *chosen):
 def test_print_config_refuses_what_the_run_refuses(command, chosen):
     argv = [command] + [f"{flag}={value}" for flag, value in chosen]
     ran, printed = _run_logged(argv), _run_logged(argv + ["--print-config"])
-    assert (ran[0] == 2) == (printed[0] == 2)
+    # a setting is valid or a configuration error: no setting makes the run fail at runtime
+    assert ran[0] in (0, 2) and printed[0] in (0, 2)
+    assert ran[0] == printed[0]
     if ran[0] == 2:
         # the same message both ways, naming the config key at fault, and nothing on stdout
         assert ran == printed and ran[1] == ""

@@ -53,6 +53,12 @@ class TestAxisValues:
         with pytest.raises(SweepError):
             axis_values(0.0, 1.0, 0.3)
 
+    @pytest.mark.parametrize("lo, hi, step", [(0.0, 1e-10, 0.2), (0.0, 1.0, 1e10), (0.0, 0.3, 1.0)])
+    def test_step_longer_than_its_span_rejected(self, lo, hi, step):
+        # one point and no interval: the span cannot be divided by zero steps
+        with pytest.raises(SweepError, match=f"step {step} is longer than the span"):
+            axis_values(lo, hi, step)
+
     @pytest.mark.parametrize(
         "lo, hi, step",
         [(0.0, math.inf, 0.2), (-math.inf, 1.0, 0.2), (math.nan, 1.0, 0.2),
