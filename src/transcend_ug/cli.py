@@ -3,20 +3,20 @@
 Subcommands: ``play``, ``utility-curves``, ``acceptance-matrix``,
 ``tau-curves``, ``game-grid``. Options come from an optional config file
 plus flag overrides (flags win). Data goes to the output path (or stdout
-with ``--output -``); logs go to stderr. Exit status: 0 success, 2
-configuration error, 1 runtime error.
+with ``--output -``). Messages go to the ``sys.stderr`` of the call, one
+line each: ``ERROR <message>`` for a failed call and ``WARNING <message>``
+for an off-grid offer. Exit status: 0 success, 2 configuration error, 1
+runtime error.
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
-import logging
 import os
 import sys
-import tempfile
 from collections import Counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import sweep as sweep_mod
 from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, dump_config, load_config, parse_value, resolve
@@ -25,17 +25,15 @@ from .identity import IdentityError
 from .payoff import LensConfigError
 from .sweep import Table, axis_values
 
-log = logging.getLogger("transcend_ug")
-
 _CONFIG_ERRORS = (ConfigFileError, ConfigError, LensConfigError, IdentityError)
 
 
-def _rounded(record: Dict[str, object]) -> Dict[str, object]:
+def _rounded(record: dict[str, object]) -> dict[str, object]:
     """A record with every float rounded to the 6 decimals of the output."""
     return {k: (round(v, 6) if isinstance(v, float) else v) for k, v in record.items()}
 
 
-def _texts(column: Sequence, kind: type, fmt: str) -> List[str]:
+def _texts(column: Sequence, kind: type, fmt: str) -> list[str]:
     """The text of each cell of a column, in the output format, by the cell format its table declares.
 
     A float gets 6 decimals: ``%.6f`` in CSV, and in JSON what ``json``
@@ -108,6 +106,8 @@ def _write_output(chunks: Iterable[str], path: str) -> None:
     if path == "-":
         sys.stdout.writelines(chunks)
         return
+    import tempfile  # with the random and weakref it loads, only a call that writes a file needs it
+
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".out")
     try:
@@ -129,7 +129,7 @@ _FLAGS = [
 ]
 
 
-def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Optional[Callable[[], Table]]]:
+def _effective_config(args: argparse.Namespace) -> tuple[RunConfig, Resolved, Callable[[], Table] | None]:
     """The config, its resolution and, for a table subcommand, the sweep call that builds its table."""
     cfg = load_config(args.config) if args.config else RunConfig()
     for p, dest, _ in _FLAGS:
@@ -146,7 +146,7 @@ def _effective_config(args: argparse.Namespace) -> Tuple[RunConfig, Resolved, Op
     return cfg, resolved, build
 
 
-def _table(command: str, s: SweepSection, resolved: Resolved) -> Tuple[int, str, Callable[[], Table]]:
+def _table(command: str, s: SweepSection, resolved: Resolved) -> tuple[int, str, Callable[[], Table]]:
     """A table subcommand's row count, the config fields it comes from and the sweep call that builds the table.
 
     The count is arithmetic, from the axis point counts that ``resolve``
@@ -208,17 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class _Stderr(logging.StreamHandler):
-    """A handler that writes each record to the ``sys.stderr`` of the moment it is emitted."""
-
-    stream = property(lambda self: sys.stderr, lambda self, stream: None)
-
-
-_HANDLER = _Stderr()
-
-
-def run(argv: Optional[Sequence[str]] = None) -> int:
-    logging.basicConfig(handlers=[_HANDLER], format="%(levelname)s %(message)s")
+def run(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
@@ -236,10 +226,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
         _write_output(chunks, cfg.output.path)
         return 0
     except _CONFIG_ERRORS as exc:
-        log.error("%s", exc)
+        sys.stderr.write(f"ERROR {exc}\n")
         return 2
     except Exception as exc:  # runtime failure
-        log.error("%s", exc)
+        sys.stderr.write(f"ERROR {exc}\n")
         return 1
 
 

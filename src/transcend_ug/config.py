@@ -5,10 +5,11 @@ The on-disk format is a flat INI-style file with sections ``game``,
 ``output``. Parsing is strict: unknown sections (``[DEFAULT]`` too) or
 keys are errors, and every violation names the offending field path.
 
-Each section field describes its parameter once; its metadata adds only
-what the name cannot say (on-disk ``key``, ``flag``, ``help``,
-``choices``). Config keys, flags and ``dump_config`` derive from
-``PARAMS``; ``parse_value`` reads a file key's and a flag's text alike.
+Each section declares its fields once, as name -> (default, metadata);
+the metadata adds only what the name cannot say (on-disk ``key``,
+``flag``, ``help``, ``choices``). Config keys, flags and ``dump_config``
+derive from ``PARAMS``; ``parse_value`` reads a file key's and a flag's
+text alike.
 Loading only reads: ``resolve`` alone checks choices and ranges, once per
 call and whatever the subcommand, so ``--print-config`` refuses what the
 run refuses. Range checks live in the domain constructors and in
@@ -20,13 +21,12 @@ from __future__ import annotations
 import configparser
 import io
 import math
+from collections import namedtuple
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields
-from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .game import ConfigError, GameConfig, TieBreak, axis_points
 from .identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
-from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens
+from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens, ValueObject
 from .sweep import with_param
 
 
@@ -35,103 +35,117 @@ class ConfigFileError(ValueError):
 
 
 def _param(default, key=None, flag=None, help=None, choices=None):
-    return field(default=default, metadata={"key": key, "flag": flag, "help": help, "choices": choices})
+    return default, {"key": key, "flag": flag, "help": help, "choices": choices}
 
 
-@dataclass
-class AgentSection:
-    gamma: float = 0.5
-    distance: float = _param(1.0, flag="d")
-    fairness_mode: str = _param("baseline", flag="mode", choices=FairnessKind)
-    tau: float = 0.5  # consulted only under agent_tau mode
+class _Section(ValueObject):
+    """A config section: one attribute per entry of its ``FIELDS``, name -> (default, metadata), set to the default."""
+
+    FIELDS: dict[str, tuple[object, dict]] = {}
+
+    def __init__(self) -> None:
+        for name, (default, _) in self.FIELDS.items():
+            setattr(self, name, default)
+
+    def _fields(self) -> dict:
+        return self.FIELDS
 
 
-@dataclass
-class PayoffSection:
-    family: str = _param("exp_value", choices=LensFamily)
-    k: float = DEFAULT_STEEPNESS
-    lam: float = _param(DEFAULT_LOSS_AVERSION, key="lambda")  # 'lambda' is a keyword
+class AgentSection(_Section):
+    FIELDS = {
+        "gamma": _param(0.5),
+        "distance": _param(1.0, flag="d"),
+        "fairness_mode": _param("baseline", flag="mode", choices=FairnessKind),
+        "tau": _param(0.5),  # consulted only under agent_tau mode
+    }
+
+
+class PayoffSection(_Section):
+    FIELDS = {
+        "family": _param("exp_value", choices=LensFamily),
+        "k": _param(DEFAULT_STEEPNESS),
+        "lam": _param(DEFAULT_LOSS_AVERSION, key="lambda"),  # 'lambda' is a keyword
+    }
 
 
 # the player parameters a game-grid axis may vary
 _AXES = tuple(f"{role}.{param}" for role in ("allocator", "recipient") for param in ("gamma", "d", "tau"))
 
 
-@dataclass
-class SweepSection:
-    d_min: float = 0.0
-    d_max: float = 2.4
-    d_step: float = 0.2
-    split_step: float = 0.05
-    curve_param: str = _param("d", choices=("d", "gamma", "tau"))
-    # comma list; empty means mode-specific defaults
-    curve_values: str = _param("", help="comma-separated values for the curve family")
-    gammas: str = _param("0.2,0.4,0.6,0.8", flag="gamma", help="comma-separated gamma list for tau-curves")
-    axis1: str = _param("allocator.gamma", choices=_AXES)
-    axis1_values: str = "0.2,0.4,0.6,0.8"
-    axis2: str = _param("recipient.gamma", choices=_AXES)
-    axis2_values: str = "0.2,0.4,0.6,0.8"
+class SweepSection(_Section):
+    FIELDS = {
+        "d_min": _param(0.0),
+        "d_max": _param(2.4),
+        "d_step": _param(0.2),
+        "split_step": _param(0.05),
+        "curve_param": _param("d", choices=("d", "gamma", "tau")),
+        # comma list; empty means mode-specific defaults
+        "curve_values": _param("", help="comma-separated values for the curve family"),
+        "gammas": _param("0.2,0.4,0.6,0.8", flag="gamma", help="comma-separated gamma list for tau-curves"),
+        "axis1": _param("allocator.gamma", choices=_AXES),
+        "axis1_values": _param("0.2,0.4,0.6,0.8"),
+        "axis2": _param("recipient.gamma", choices=_AXES),
+        "axis2_values": _param("0.2,0.4,0.6,0.8"),
+    }
 
 
-@dataclass
-class OutputSection:
-    path: str = _param("-", flag="output", help="output path, '-' for stdout")
-    format: str = _param("csv", choices=("csv", "json"), help="output format")
+class OutputSection(_Section):
+    FIELDS = {
+        "path": _param("-", flag="output", help="output path, '-' for stdout"),
+        "format": _param("csv", choices=("csv", "json"), help="output format"),
+    }
 
 
-@dataclass
-class GameSection:
-    grid_step: float = 0.01
-    accept_threshold: float = 0.0
-    tie_break: str = _param("closest_to_equal", choices=TieBreak)
-    tolerance: float = 1e-9
-    own_tau_zero: bool = False
+class GameSection(_Section):
+    FIELDS = {
+        "grid_step": _param(0.01),
+        "accept_threshold": _param(0.0),
+        "tie_break": _param("closest_to_equal", choices=TieBreak),
+        "tolerance": _param(1e-9),
+        "own_tau_zero": _param(False),
+    }
 
 
-@dataclass
-class RunConfig:
-    game: GameSection = field(default_factory=GameSection)
-    allocator: AgentSection = field(default_factory=AgentSection)
-    recipient: AgentSection = field(default_factory=AgentSection)
-    payoff: PayoffSection = field(default_factory=PayoffSection)
-    sweep: SweepSection = field(default_factory=SweepSection)
-    output: OutputSection = field(default_factory=OutputSection)
+# on-disk section -> (flag prefix, section class); the RunConfig attribute is the last word
+_SECTIONS = {"game": ("", GameSection), "agent.allocator": ("allocator-", AgentSection),
+             "agent.recipient": ("recipient-", AgentSection), "payoff": ("payoff-", PayoffSection),
+             "sweep": ("", SweepSection), "output": ("", OutputSection)}
 
 
-class Param(NamedTuple):
-    """One config parameter, derived from its section field."""
+class RunConfig(ValueObject):
+    """A run's config: one section object per on-disk section, named by the section's last word."""
 
-    path: str  # "agent.allocator.distance"
-    key: str  # on-disk key, "distance"
-    attr: str  # RunConfig attribute, "allocator"
-    name: str  # field name, "distance"
-    flag: str  # "--allocator-d"
-    type: type
-    choices: Optional[Tuple[str, ...]]
-    help: Optional[str]
+    def __init__(self) -> None:
+        for attr, (_, cls) in zip(self._fields(), _SECTIONS.values()):
+            setattr(self, attr, cls())
+
+    def _fields(self) -> list[str]:
+        return [section.rpartition(".")[2] for section in _SECTIONS]
 
 
-# on-disk section -> flag prefix; the RunConfig attribute is the last word
-_SECTIONS = {"game": "", "agent.allocator": "allocator-", "agent.recipient": "recipient-",
-             "payoff": "payoff-", "sweep": "", "output": ""}
+Param = namedtuple("Param", "path key attr name flag type choices help")
+Param.__doc__ = """One config parameter, derived from its section field.
+
+For example: ``path`` "agent.allocator.distance", on-disk ``key`` "distance",
+RunConfig ``attr`` "allocator", field ``name`` "distance", ``flag``
+"--allocator-d"; ``type`` is the default's type; ``choices`` and ``help`` may be None.
+"""
 
 
-def _params() -> List[Param]:
+def _params() -> list[Param]:
     out = []
-    for section, prefix in _SECTIONS.items():
+    for section, (prefix, cls) in _SECTIONS.items():
         attr = section.rpartition(".")[2]
-        for f in fields(getattr(RunConfig(), attr)):
-            meta = f.metadata
-            key = meta.get("key") or f.name
-            flag = "--" + prefix + (meta.get("flag") or key).replace("_", "-")
-            choices = meta.get("choices") and tuple(getattr(c, "value", c) for c in meta["choices"])
-            out.append(Param(f"{section}.{key}", key, attr, f.name, flag, type(f.default), choices,
-                             meta.get("help")))
+        for name, (default, meta) in cls.FIELDS.items():
+            key = meta["key"] or name
+            flag = "--" + prefix + (meta["flag"] or key).replace("_", "-")
+            choices = meta["choices"] and tuple(getattr(c, "value", c) for c in meta["choices"])
+            out.append(Param(f"{section}.{key}", key, attr, name, flag, type(default), choices, meta["help"]))
     return out
 
 
 PARAMS = _params()
-_BY_PATH: Dict[str, Param] = {p.path: p for p in PARAMS}
+_BY_PATH: dict[str, Param] = {p.path: p for p in PARAMS}
 # domain constructor argument -> config key, where the two differ
 _DOMAIN_KEYS = {"d": "distance", "loss_aversion": "lambda", "steepness": "k"}
 
@@ -151,7 +165,7 @@ def parse_value(p: Param, raw: str):
 
 
 @contextmanager
-def _named(section: str, key: Optional[str] = None):
+def _named(section: str, key: str | None = None):
     """Report a domain constructor's error under the config path it concerns.
 
     The path is ``section.key``; given no key, the key is the error's
@@ -164,15 +178,13 @@ def _named(section: str, key: Optional[str] = None):
         raise ConfigFileError(f"{section}.{key or _DOMAIN_KEYS.get(name, name)} {rest}") from None
 
 
-class Resolved(NamedTuple):
-    """The objects ``resolve`` built from a config while checking it."""
+Resolved = namedtuple("Resolved", "game allocator recipient lists d_points split_points")
+Resolved.__doc__ = """The objects ``resolve`` built from a config while checking it.
 
-    game: GameConfig
-    allocator: PlayerSpec
-    recipient: PlayerSpec
-    lists: Dict[str, List[float]]  # the sweep comma lists, parsed, by field name
-    d_points: int  # points of the sweep.d_step axis
-    split_points: int  # points of the sweep.split_step axis
+``game`` is the GameConfig, ``allocator`` and ``recipient`` the PlayerSpecs,
+``lists`` the sweep comma lists, parsed, by field name, and ``d_points`` and
+``split_points`` the point counts of the sweep.d_step and sweep.split_step axes.
+"""
 
 
 def resolve(cfg: RunConfig) -> Resolved:
@@ -227,7 +239,7 @@ def resolve(cfg: RunConfig) -> Resolved:
     return Resolved(game, players["allocator"], players["recipient"], lists, d_points, split_points)
 
 
-def parse_value_list(raw: str, path: str) -> List[float]:
+def parse_value_list(raw: str, path: str) -> list[float]:
     """The numbers of a comma list: blank text is no number, and a blank entry in a list is a missing one."""
     tokens = raw.split(",") if raw.strip() else []
     if not all(map(str.strip, tokens)):

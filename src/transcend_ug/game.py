@@ -8,18 +8,15 @@ deterministic: same specs, same outcome, bit for bit.
 from __future__ import annotations
 
 import enum
-import logging
 import math
-from dataclasses import dataclass
+import sys
+from collections import namedtuple
 from functools import cached_property
 from operator import itemgetter
-from typing import List, NamedTuple, Optional, Tuple
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
-from .payoff import Utility, ug_kernel
+from .payoff import Utility, ValueObject, ug_kernel
 from .utility import Split
-
-log = logging.getLogger(__name__)
 
 # Relative slack within which a step counts as dividing a span evenly. It
 # is fixed: the tie tolerance must not decide which grids exist.
@@ -76,22 +73,21 @@ def axis_points(lo: float, hi: float, step: float, name: str = "step") -> int:
     return n + 1
 
 
-def axis_values(lo: float, hi: float, step: float, name: str = "step") -> List[float]:
+def axis_values(lo: float, hi: float, step: float, name: str = "step") -> list[float]:
     """Inclusive arithmetic grid from lo to hi; step, named ``name`` in errors, must divide the span."""
     n = axis_points(lo, hi, step, name) - 1
     return [lo + (hi - lo) * i / n for i in range(n + 1)]
 
 
-class Blocks(NamedTuple):
-    """The split grid in runs of about sqrt(n) shares, with each run's utility bound point."""
+Blocks = namedtuple("Blocks", "bound_own bound_partner runs")
+Blocks.__doc__ = """The split grid in runs of about sqrt(n) shares, with each run's utility bound point.
 
-    bound_own: List[float]  # each run's highest share
-    bound_partner: List[float]  # 1 - each run's lowest share
-    runs: List[Tuple[List[float], List[float]]]  # each run's shares s and partner shares 1 - s
+``bound_own`` holds each run's highest share, ``bound_partner`` 1 - each
+run's lowest share, and ``runs`` each run's shares s and partner shares 1 - s.
+"""
 
 
-@dataclass(frozen=True)
-class GameConfig:
+class GameConfig(ValueObject):
     """Grid resolution, acceptance threshold, and numeric tolerances.
 
     ``own_tau_zero`` is the documented escape hatch for association-based
@@ -100,13 +96,11 @@ class GameConfig:
     Default off: one tau for both terms.
     """
 
-    grid_step: float = 0.01
-    accept_threshold: float = 0.0
-    tie_break: TieBreak = TieBreak.CLOSEST_TO_EQUAL
-    tolerance: float = 1e-9
-    own_tau_zero: bool = False
-
-    def __post_init__(self) -> None:
+    def __init__(self, grid_step: float = 0.01, accept_threshold: float = 0.0,
+                 tie_break: TieBreak = TieBreak.CLOSEST_TO_EQUAL, tolerance: float = 1e-9,
+                 own_tau_zero: bool = False) -> None:
+        self.grid_step, self.accept_threshold, self.tie_break = grid_step, accept_threshold, tie_break
+        self.tolerance, self.own_tau_zero = tolerance, own_tau_zero
         if not 0.0 < self.grid_step <= 0.5:
             raise ConfigError(f"grid_step must lie in (0, 0.5], got {self.grid_step}")
         axis_points(0.0, 1.0, self.grid_step, "grid_step")
@@ -120,11 +114,11 @@ class GameConfig:
         return round(1.0 / self.grid_step)
 
     @cached_property
-    def _splits(self) -> List[float]:
+    def _splits(self) -> list[float]:
         n = self.grid_cells
         return [i / n for i in range(n + 1)]
 
-    def splits(self) -> List[float]:
+    def splits(self) -> list[float]:
         """The split grid {0, step, ..., 1}, built on first use and shared: callers must not change it."""
         return self._splits
 
@@ -144,7 +138,7 @@ class GameConfig:
         n = self.grid_cells
         snapped = round(share * n) / n
         if abs(snapped - share) > self.tolerance:
-            log.warning("off-grid share %g snapped to %g", share, snapped)
+            sys.stderr.write("WARNING off-grid share %g snapped to %g\n" % (share, snapped))
         return snapped
 
     def clears(self, utility: float) -> bool:
@@ -152,16 +146,14 @@ class GameConfig:
         return utility >= self.accept_threshold - self.tolerance
 
 
-@dataclass(frozen=True)
-class Outcome:
+class Outcome(ValueObject):
     """Record of a single played game."""
 
-    proposed_split: Split
-    accepted: bool
-    payoff_allocator: float
-    payoff_recipient: float
-    util_allocator: float
-    util_recipient: float
+    def __init__(self, proposed_split: Split, accepted: bool, payoff_allocator: float, payoff_recipient: float,
+                 util_allocator: float, util_recipient: float) -> None:
+        self.proposed_split, self.accepted = proposed_split, accepted
+        self.payoff_allocator, self.payoff_recipient = payoff_allocator, payoff_recipient
+        self.util_allocator, self.util_recipient = util_allocator, util_recipient
 
     def to_record(self) -> dict:
         return {
@@ -196,7 +188,7 @@ def utility_of_split(player: PlayerSpec, cfg: GameConfig, own: float) -> float:
     return compile_player(player, cfg)(own, 1.0 - own)
 
 
-def _break_ties(candidates: List[float], rule: TieBreak) -> float:
+def _break_ties(candidates: list[float], rule: TieBreak) -> float:
     if rule is TieBreak.LOWEST_OWN_SHARE:
         return min(candidates)
     if rule is TieBreak.HIGHEST_OWN_SHARE:
@@ -207,13 +199,13 @@ def _break_ties(candidates: List[float], rule: TieBreak) -> float:
     return min(s for s in candidates if abs(s - 0.5) <= nearest + 1e-12)
 
 
-class Scan(NamedTuple):
-    """A utility evaluated over a grid of own shares."""
+Scan = namedtuple("Scan", "utilities top best min_acceptable")
+Scan.__doc__ = """A utility evaluated over a grid of own shares.
 
-    utilities: List[float]
-    top: float  # the largest utility
-    best: float  # utility-maximizing share, ties broken per config
-    min_acceptable: Optional[float]  # first share whose utility clears the threshold
+``top`` is the largest utility, ``best`` the utility-maximizing share with
+ties broken per config, and ``min_acceptable`` the first share whose
+utility clears the threshold, or None.
+"""
 
 
 def scan(utility: Utility, cfg: GameConfig) -> Scan:
@@ -227,7 +219,7 @@ def scan(utility: Utility, cfg: GameConfig) -> Scan:
     return Scan(utilities, top, best, min_acc)
 
 
-def argmax(utility: Utility, cfg: GameConfig) -> Tuple[float, float]:
+def argmax(utility: Utility, cfg: GameConfig) -> tuple[float, float]:
     """``(best, top)`` of ``scan`` over the split grid, evaluating only what can win.
 
     A compiled utility rises in the own share and in the partner's (every
@@ -241,7 +233,7 @@ def argmax(utility: Utility, cfg: GameConfig) -> Tuple[float, float]:
     blocks = cfg.blocks()
     bounded = sorted(zip(map(utility, blocks.bound_own, blocks.bound_partner), blocks.runs),
                      key=itemgetter(0), reverse=True)
-    evaluated: List[Tuple[float, List[float], List[float]]] = []  # (block's top, shares, utilities)
+    evaluated: list[tuple[float, list[float], list[float]]] = []  # (block's top, shares, utilities)
     top = -math.inf
     for bound, (shares, partners) in bounded:
         if bound < top - cfg.tolerance - BOUND_SLACK:
@@ -256,7 +248,7 @@ def argmax(utility: Utility, cfg: GameConfig) -> Tuple[float, float]:
     return _break_ties(ties, cfg.tie_break), top
 
 
-def best_split(player: PlayerSpec, cfg: GameConfig) -> Tuple[Split, float]:
+def best_split(player: PlayerSpec, cfg: GameConfig) -> tuple[Split, float]:
     """Utility-maximizing own share over the split grid, ties broken per config."""
     best, top = argmax(compile_player(player, cfg), cfg)
     return Split(best), top
@@ -274,7 +266,7 @@ def accepts(player: PlayerSpec, cfg: GameConfig, offered: float) -> bool:
     return accepts_offer(compile_player(player, cfg), cfg, offered)
 
 
-def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Optional[Split]:
+def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Split | None:
     """Smallest grid share the player would accept, if any.
 
     Acceptance is not guaranteed above this point (high-threshold curves
@@ -286,7 +278,7 @@ def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Optional[Split]
 
 
 def play(
-    allocator: PlayerSpec, recipient: PlayerSpec, cfg: GameConfig, offer: Optional[float] = None
+    allocator: PlayerSpec, recipient: PlayerSpec, cfg: GameConfig, offer: float | None = None
 ) -> Outcome:
     """One full game: proposal, response, and realized utilities.
 

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
-from typing import Optional
 
-from .payoff import PayoffLens
+from .payoff import PayoffLens, ValueObject
 
 
 class IdentityError(ValueError):
@@ -26,14 +24,11 @@ class FairnessKind(enum.Enum):
     ASSOCIATION = "association"
 
 
-@dataclass(frozen=True)
-class FairnessMode:
+class FairnessMode(ValueObject):
     """How (and whether) an agent resolves its fairness threshold."""
 
-    kind: FairnessKind
-    tau: Optional[float] = None
-
-    def __post_init__(self) -> None:
+    def __init__(self, kind: FairnessKind, tau: float | None = None) -> None:
+        self.kind, self.tau = kind, tau
         if self.kind is FairnessKind.AGENT_TAU:
             if self.tau is None or not 0.0 <= self.tau <= 1.0:
                 raise IdentityError(f"tau must lie in [0,1], got {self.tau}")
@@ -53,16 +48,11 @@ class FairnessMode:
         return cls(FairnessKind.ASSOCIATION)
 
 
-@dataclass(frozen=True)
-class PlayerSpec:
+class PlayerSpec(ValueObject):
     """One player: transcendence gamma, distance d to the partner, fairness mode, lens."""
 
-    gamma: float
-    d: float
-    mode: FairnessMode
-    lens: PayoffLens
-
-    def __post_init__(self) -> None:
+    def __init__(self, gamma: float, d: float, mode: FairnessMode, lens: PayoffLens) -> None:
+        self.gamma, self.d, self.mode, self.lens = gamma, d, mode, lens
         if not 0.0 <= self.gamma <= 1.0:
             raise IdentityError(f"gamma must lie in [0,1], got {self.gamma}")
         if not (math.isfinite(self.d) and self.d >= 0.0):

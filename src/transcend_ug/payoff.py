@@ -11,8 +11,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional
+from collections.abc import Callable, Iterable
 
 
 class LensFamily(enum.Enum):
@@ -37,19 +36,37 @@ DEFAULT_LOSS_AVERSION = 2.0
 MAX_LOSS_AVERSION = sys.float_info.max / 2
 
 
-@dataclass(frozen=True)
-class PayoffLens:
+class ValueObject:
+    """Equality and repr of a plain value class, by its constructor fields; its objects are not hashable.
+
+    The fields are the parameters of ``__init__`` after ``self``, each kept as the attribute of its name,
+    unless the class names them in its own ``_fields``; a cached property's value is not a field.
+    """
+
+    def _fields(self) -> Iterable[str]:
+        code = type(self).__init__.__code__
+        return code.co_varnames[1:code.co_argcount]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields()
+        return tuple(getattr(self, n) for n in names) == tuple(getattr(other, n) for n in names)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields())})"
+
+
+class PayoffLens(ValueObject):
     """Parameters of the perceived-payoff function family.
 
     ``loss_aversion`` (lambda) and ``steepness`` (k) only apply to the
     EXP_VALUE family; LINEAR ignores both and is an identity test mode.
     """
 
-    family: LensFamily = LensFamily.EXP_VALUE
-    loss_aversion: float = DEFAULT_LOSS_AVERSION
-    steepness: float = DEFAULT_STEEPNESS
-
-    def __post_init__(self) -> None:
+    def __init__(self, family: LensFamily = LensFamily.EXP_VALUE, loss_aversion: float = DEFAULT_LOSS_AVERSION,
+                 steepness: float = DEFAULT_STEEPNESS) -> None:
+        self.family, self.loss_aversion, self.steepness = family, loss_aversion, steepness
         if self.family is LensFamily.EXP_VALUE:
             if not (math.isfinite(self.loss_aversion) and self.loss_aversion > 1.0):
                 raise LensConfigError(
@@ -68,7 +85,7 @@ class PayoffLens:
 Utility = Callable[[float, float], float]
 
 
-def ug_kernel(w: float, lens: Optional[PayoffLens] = None, tau: float = 0.0, own_tau: float = 0.0) -> Utility:
+def ug_kernel(w: float, lens: PayoffLens | None = None, tau: float = 0.0, own_tau: float = 0.0) -> Utility:
     """Two-player utility over a realized (own, partner) payoff pair.
 
     Without a lens this is the plain weighted average (own + w*partner)/(1+w).

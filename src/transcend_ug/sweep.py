@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import marshal
 import os
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from collections.abc import Callable, Iterator, Sequence
 
 # the step-built-axis rule and SweepError live in game; sweep callers may import them from here
 from .game import GameConfig, SweepError, accepts_offer, axis_points, axis_values, compile_player, play, scan
@@ -21,7 +21,7 @@ ENVELOPE_MAX = "envelope_max"
 
 # A table's columns, in the order of its rows' keys, each with its cell
 # format: float, int or str.
-Columns = Tuple[Tuple[str, type], ...]
+Columns = tuple[tuple[str, type], ...]
 
 
 class Table:
@@ -38,13 +38,13 @@ class Table:
 
     __slots__ = ("columns", "runs")
 
-    def __init__(self, columns: Columns, runs: List[Tuple[tuple, tuple]]) -> None:
+    def __init__(self, columns: Columns, runs: list[tuple[tuple, tuple]]) -> None:
         self.columns, self.runs = columns, runs
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Table) and (self.columns, self.runs) == (other.columns, other.runs)
 
-    def __iter__(self) -> Iterator[Dict[str, object]]:
+    def __iter__(self) -> Iterator[dict[str, object]]:
         names = [name for name, _ in self.columns]
         for fixed, varying in self.runs:
             for cells in zip(*varying):
@@ -106,7 +106,7 @@ def utility_curves(
     return Table(UTILITY_CURVES_COLUMNS, runs)
 
 
-def _flags(grid: List[float], share: Optional[float], zeros: List[int]) -> List[int]:
+def _flags(grid: list[float], share: float | None, zeros: list[int]) -> list[int]:
     """A flag per grid point, 1 where it equals ``share``; ``zeros`` itself where none does (or ``share`` is None)."""
     if share not in grid:
         return zeros
@@ -164,8 +164,8 @@ def game_grid(
     allocator: PlayerSpec,
     recipient: PlayerSpec,
     cfg: GameConfig,
-    axis1: Tuple[str, Sequence[float]],
-    axis2: Tuple[str, Sequence[float]],
+    axis1: tuple[str, Sequence[float]],
+    axis2: tuple[str, Sequence[float]],
 ) -> Table:
     """Settled game per cell of two varied player parameters.
 
@@ -202,7 +202,7 @@ def game_grid(
         apply(*starts[0], name2, v2)
     starts += [apply(allocator, recipient, name1, v1) for v1 in values1[1:]]
 
-    def play_runs(chunk: List[Tuple[PlayerSpec, PlayerSpec]]) -> List[Tuple[List[float], List[int]]]:
+    def play_runs(chunk: list[tuple[PlayerSpec, PlayerSpec]]) -> list[tuple[list[float], list[int]]]:
         """Each start's proposed_split and accepted columns."""
         runs = []
         for a, r in chunk:
@@ -224,7 +224,7 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fan_out(work: Callable[[list], list], chunks: List[list]) -> List[list]:
+def _fan_out(work: Callable[[list], list], chunks: list[list]) -> list[list]:
     """``work(chunk)`` of every chunk, in order.
 
     The first chunk runs here; each other chunk runs in a child forked

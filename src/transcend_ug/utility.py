@@ -8,19 +8,16 @@ perceived-payoff lens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .identity import FairnessMode, PlayerSpec, weight
-from .payoff import PayoffLens, ug_kernel
+from .payoff import PayoffLens, ValueObject, ug_kernel
 
 
-@dataclass(frozen=True)
-class Split:
+class Split(ValueObject):
     """Allocator-side view of a proposal: own share of the unit resource."""
 
-    own_share: float
-
-    def __post_init__(self) -> None:
+    def __init__(self, own_share: float) -> None:
+        self.own_share = own_share
         if not 0.0 <= self.own_share <= 1.0:
             raise ValueError(f"own_share must lie in [0,1], got {self.own_share}")
 

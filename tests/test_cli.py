@@ -4,8 +4,6 @@ import contextlib
 import io
 import itertools
 import json
-import logging
-import logging.handlers
 import math
 import os
 import re
@@ -102,6 +100,15 @@ class TestLoadConfig:
         cfg = loads_config(MINIMAL + "\n[game]\ngrid_step = 0.05\n[payoff]\nk = 7.5\n")
         assert loads_config(dump_config(cfg)) == cfg
 
+    @pytest.mark.parametrize("p", PARAMS, ids=lambda p: p.path)
+    def test_configs_that_differ_in_one_key_are_unequal(self, p):
+        # so that the round trip above compares every key
+        cfg = RunConfig()
+        value = getattr(getattr(cfg, p.attr), p.name)
+        other = not value if p.type is bool else value + (1.0 if p.type is float else "x")
+        setattr(getattr(cfg, p.attr), p.name, other)
+        assert cfg != RunConfig() and RunConfig() == RunConfig()
+
 
 # A value whose text cannot be read, or is not one of its choices, and the message it gets
 BAD_VALUES = [
@@ -171,13 +178,14 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("section, key, raw, message", BAD_VALUES)
     def test_bad_config_file_value_exits_2_naming_its_path(self, tmp_path, section, key, raw, message,
-                                                           capsys, caplog):
+                                                           capsys):
         # a file key's text is read and checked as a flag's is; see the test below
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text(f"[{section}]\n{key} = {raw}\n")
         assert run(["game-grid", "--config", str(cfg_file), "--output", str(tmp_path / "grid.csv")]) == 2
-        assert capsys.readouterr().out == ""
-        assert message in caplog.text
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize("section, key, raw, message", [c for c in BAD_VALUES if c[1] != "own_tau_zero"])
@@ -189,12 +197,13 @@ class TestCliExitCodes:
         from_flag = _run_logged(["game-grid", flag, raw])
         assert from_flag == _run_logged(["game-grid", "--config", str(cfg_file)]) == (2, "", [message])
 
-    def test_default_section_exits_2(self, tmp_path, capsys, caplog):
+    def test_default_section_exits_2(self, tmp_path, capsys):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("[DEFAULT]\ngrid_step = 0.5\n")
         assert run(["play", "--config", str(cfg_file)]) == 2
-        assert capsys.readouterr().out == ""
-        assert "unknown section [DEFAULT]" in caplog.text
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unknown section [DEFAULT]" in err
 
     def test_help_is_printed_before_flag_text_is_read(self, capsys):
         assert run(["play", "--grid-step", "x", "-h"]) == 0
@@ -210,19 +219,21 @@ class TestCliExitCodes:
         assert run(argv + ["--print-config"]) == 0
         assert loads_config(capsys.readouterr().out).payoff.lam == 3.0
 
-    def test_unwritable_output_exits_1(self, tmp_path, capsys, caplog):
+    def test_unwritable_output_exits_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "grid.csv"
         assert run(["game-grid", "--output", str(out)]) == 1
-        assert capsys.readouterr().out == ""
-        assert "No such file or directory" in caplog.text
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert "No such file or directory" in stderr
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_replace_removes_the_temp_file(self, tmp_path, capsys, caplog):
+    def test_failed_replace_removes_the_temp_file(self, tmp_path, capsys):
         out = tmp_path / "grid.csv"
         out.mkdir()  # the written temp file cannot replace a directory
         assert run(["game-grid", "--output", str(out)]) == 1
-        assert capsys.readouterr().out == ""
-        assert str(out) in caplog.text
+        stdout, stderr = capsys.readouterr()
+        assert stdout == ""
+        assert str(out) in stderr
         assert [p.name for p in tmp_path.iterdir()] == ["grid.csv"]
         assert list(out.iterdir()) == []
 
@@ -238,11 +249,12 @@ class TestCliExitCodes:
              "acceptance-matrix would emit 24025001 rows"),
         ],
     )
-    def test_oversized_axis_or_output_exits_2_before_building_it(self, argv, message, capsys, caplog):
+    def test_oversized_axis_or_output_exits_2_before_building_it(self, argv, message, capsys):
         # each of these would need far more memory than exists if it were built
         assert run(argv) == 2
-        assert capsys.readouterr().out == ""
-        assert message in caplog.text
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err
 
     @pytest.mark.parametrize(
         "argv, path",
@@ -285,21 +297,22 @@ class TestCliExitCodes:
             (["play", "--print-config", "--axis2-values", ",0.5"], "sweep.axis2_values has an empty entry"),
         ],
     )
-    def test_constructor_range_error_names_config_path(self, argv, path, capsys, caplog):
+    def test_constructor_range_error_names_config_path(self, argv, path, capsys):
         assert run(argv) == 2
-        assert capsys.readouterr().out == ""
-        assert path in caplog.text
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert path in err
 
     @pytest.mark.parametrize(
         "argv", [["game-grid", "--d-step", "0.7"], ["utility-curves", "--curve-values", "0.3", "--d-step", "0.7"]]
     )
-    def test_step_is_checked_whatever_the_subcommand(self, argv, capsys, caplog):
+    def test_step_is_checked_whatever_the_subcommand(self, argv, capsys):
         # neither subcommand builds the distance axis, but its step is checked as for one that does
         for extra in ([], ["--print-config"]):
-            caplog.clear()
             assert run(argv + extra) == 2
-            assert capsys.readouterr().out == ""
-            assert "sweep.d_step 0.7 does not divide" in caplog.text
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "sweep.d_step 0.7 does not divide" in err
 
     def test_largest_tolerance_is_accepted(self, capsys):
         argv = ["play", "--recipient-mode", "agent_tau", "--recipient-tau", "0.9"]
@@ -365,13 +378,14 @@ def test_a_sweep_gets_the_objects_resolve_built(monkeypatch, capsys):
     assert axis1 is resolved.lists["axis1_values"] and axis2 is resolved.lists["axis2_values"]
 
 
-def test_comma_lists_are_checked_in_order_and_the_first_fault_is_named(caplog):
+def test_comma_lists_are_checked_in_order_and_the_first_fault_is_named():
     # an out-of-range gamma and a non-number in the last list: parsing every list
     # before checking any would name sweep.axis2_values instead
     argv = ["game-grid", "--gamma", "1.5", "--axis2-values", "0.5,x"]
-    assert _run_quiet(argv) == (2, "")
-    assert "sweep.gammas must lie in [0,1], got 1.5" in caplog.text
-    assert "sweep.axis2_values" not in caplog.text
+    rc, out, err = _run_captured(argv)
+    assert (rc, out) == (2, "")
+    assert "sweep.gammas must lie in [0,1], got 1.5" in err
+    assert "sweep.axis2_values" not in err
 
 
 class TestPlayCommand:
@@ -389,11 +403,11 @@ class TestPlayCommand:
             "util_recipient",
         }
 
-    def test_off_grid_offer_snapped_with_warning(self, capsys, caplog):
-        with caplog.at_level("WARNING"):
-            assert run(["play", "--offer", "0.333", "--recipient-mode", "baseline"]) == 0
-        assert "snapped" in caplog.text
-        record = json.loads(capsys.readouterr().out)
+    def test_off_grid_offer_snapped_with_warning(self, capsys):
+        assert run(["play", "--offer", "0.333", "--recipient-mode", "baseline"]) == 0
+        out, err = capsys.readouterr()
+        assert "snapped" in err
+        record = json.loads(out)
         assert record["payoff_recipient"] == pytest.approx(0.33)
 
     @pytest.mark.parametrize("offer", ["nan", "1.5"])
@@ -561,11 +575,12 @@ def _failing_in_second_run(monkeypatch):
     return ["tau-curves", "--gamma", "0.25,0.75"]
 
 
-def test_a_render_failure_leaves_no_file(tmp_path, monkeypatch, capsys, caplog):
+def test_a_render_failure_leaves_no_file(tmp_path, monkeypatch, capsys):
     argv = _failing_in_second_run(monkeypatch)
     assert run(argv + ["--output", str(tmp_path / "curves.csv")]) == 1
-    assert capsys.readouterr().out == ""
-    assert "render failed" in caplog.text
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "render failed" in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -791,14 +806,9 @@ def test_invalid_config_exits_2_with_empty_stdout(command, bad, print_config):
 
 
 def _run_logged(argv):
-    """Exit code, stdout and the logged messages of one CLI call."""
-    handler, logger = logging.handlers.BufferingHandler(100), logging.getLogger("transcend_ug")
-    logger.addHandler(handler)
-    try:
-        rc, out = _run_quiet(argv)
-    finally:
-        logger.removeHandler(handler)
-    return rc, out, [r.getMessage() for r in handler.buffer]
+    """Exit code, stdout and the messages of one CLI call: each stderr line without its ERROR or WARNING word."""
+    rc, out, err = _run_captured(argv)
+    return rc, out, [line.partition(" ")[2] for line in err.splitlines()]
 
 
 # Sweep and player settings: some invalid alone (an uneven or oversized step, a
@@ -915,17 +925,36 @@ def test_each_call_logs_to_the_stderr_it_runs_with():
         error, error, "WARNING off-grid share 0.123 snapped to 0.12\n"]
 
 
+def test_a_call_imports_only_what_it_runs(tmp_path):
+    # A fresh interpreter without site, whose .pth files may import any of
+    # these. No call runs logging, dataclasses (and the inspect it loads) or
+    # typing, so a one-shot process must not pay for importing them; tempfile
+    # is for a call that writes a file.
+    code = textwrap.dedent("""
+        import io, sys
+        from transcend_ug import cli
+        cli.build_parser()
+        sys.stdout = io.StringIO()
+        rc = cli.run(["play"])
+        sys.stdout = sys.__stdout__
+        unused = {"logging", "dataclasses", "inspect", "typing", "tempfile"}
+        print([rc, sorted(unused & set(sys.modules))])
+        rc = cli.run(["tau-curves", "--output", sys.argv[1]])
+        print([rc, sorted(unused - {"tempfile"} & set(sys.modules))])
+    """)
+    src = str(Path(transcend_ug.__file__).resolve().parents[1])
+    out = tmp_path / "curves.csv"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, str(out)], capture_output=True, text=True, check=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert [ast.literal_eval(line) for line in proc.stdout.splitlines()] == [[0, []], [0, []]]
+    assert out.read_text().startswith("gamma,d,tau\n")
+
+
 def _run_captured(argv):
-    """Exit code, stdout and stderr of one CLI call, with log records written to stderr as the CLI writes them."""
+    """Exit code, stdout and stderr of one CLI call."""
     out, err = io.StringIO(), io.StringIO()
-    handler = logging.StreamHandler(err)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    cli.log.addHandler(handler)
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            rc = run(argv)
-    finally:
-        cli.log.removeHandler(handler)
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
     return rc, out.getvalue(), err.getvalue()
 
 

@@ -99,17 +99,23 @@ class TestGameConfig:
         cfg = GameConfig(grid_step=0.25)
         assert cfg.splits() is cfg.splits()
 
-    def test_snap_warns_on_off_grid(self, caplog):
-        cfg = GameConfig(grid_step=0.05)
-        with caplog.at_level("WARNING"):
-            assert cfg.snap(0.333) == pytest.approx(0.35)
-        assert "snapped" in caplog.text
+    def test_equal_by_constructor_fields_only(self):
+        # a cached split grid or block list is not a field, and nothing hashes a config
+        cfg = GameConfig(grid_step=0.25)
+        assert cfg.splits() and cfg.blocks()
+        assert cfg == GameConfig(grid_step=0.25) and cfg != GameConfig(grid_step=0.5)
+        with pytest.raises(TypeError):
+            hash(cfg)
 
-    def test_snap_silent_on_grid(self, caplog):
+    def test_snap_warns_on_off_grid(self, capsys):
         cfg = GameConfig(grid_step=0.05)
-        with caplog.at_level("WARNING"):
-            cfg.snap(0.35)
-        assert caplog.text == ""
+        assert cfg.snap(0.333) == pytest.approx(0.35)
+        assert "snapped" in capsys.readouterr().err
+
+    def test_snap_silent_on_grid(self, capsys):
+        cfg = GameConfig(grid_step=0.05)
+        cfg.snap(0.35)
+        assert capsys.readouterr().err == ""
 
 
 class TestUtilityOfSplit:

@@ -1,6 +1,5 @@
 import math
 import os
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -458,7 +457,9 @@ def test_sweeps_agree_with_engine(
     recipient = PlayerSpec.two_party(0.6, 0.5, recip_mode, LENS)
 
     # utility curves over a custom split grid mark what the engine picks on that grid
-    split_cfg = replace(cfg, grid_step=split_step)
+    split_cfg = GameConfig(
+        grid_step=split_step, accept_threshold=threshold, tie_break=tie_break, own_tau_zero=own_tau_zero
+    )
     rows = utility_curves(allocator, split_cfg, "d", ds)
     for d in ds:
         player = with_param(allocator, "d", d)
@@ -483,7 +484,8 @@ def test_sweeps_agree_with_engine(
     for name in axes:
         role, _, param = name.partition(".")
         if param == "tau" and specs[role].mode.kind is not FairnessKind.AGENT_TAU:
-            specs[role] = replace(specs[role], mode=FairnessMode.agent_tau(0.5))
+            spec = specs[role]
+            specs[role] = PlayerSpec(spec.gamma, spec.d, FairnessMode.agent_tau(0.5), spec.lens)
     values = {"gamma": gammas, "d": ds, "tau": taus}
     values1, values2 = (values[name.partition(".")[2]] for name in axes)
     cells = game_grid(specs["allocator"], specs["recipient"], cfg, (axes[0], values1), (axes[1], values2))
