@@ -19,8 +19,8 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import sweep as sweep_mod
-from .config import PARAMS, ConfigFileError, Resolved, RunConfig, SweepSection, dump_config, load_config, parse_value, resolve
-from .game import MAX_POINTS, ConfigError, play
+from .config import PARAMS, ConfigFileError, Resolved, RunConfig, dump_config, load_config, parse_value, resolve
+from .game import MAX_POINTS, ConfigError, check_offer, play
 from .identity import IdentityError
 from .payoff import LensConfigError
 from .sweep import Table, axis_values
@@ -130,43 +130,49 @@ _FLAGS = [
 
 
 def _effective_config(args: argparse.Namespace) -> tuple[RunConfig, Resolved, Callable[[], Table] | None]:
-    """The config, its resolution and, for a table subcommand, the sweep call that builds its table."""
+    """The config, its resolution and, for a table subcommand, the sweep call that builds its table.
+
+    A ``play`` offer is checked here by the rule that ``game.play`` applies,
+    so that ``--print-config`` refuses it as the run does.
+    """
     cfg = load_config(args.config) if args.config else RunConfig()
     for p, dest, _ in _FLAGS:
         raw = getattr(args, dest)
         if raw is not None:
-            setattr(getattr(cfg, p.attr), p.name, parse_value(p, raw))
+            cfg[p.path] = parse_value(p, raw)
     resolved = resolve(cfg)
     if args.command == "play":
+        if args.offer is not None:
+            check_offer(args.offer)
         return cfg, resolved, None
-    rows, fields, build = _table(args.command, cfg.sweep, resolved)
+    rows, fields, build = _table(args.command, cfg, resolved)
     if rows > MAX_POINTS:
         raise ConfigFileError(
             f"{args.command} would emit {rows} rows ({fields}), more than the limit of {MAX_POINTS}")
     return cfg, resolved, build
 
 
-def _table(command: str, s: SweepSection, resolved: Resolved) -> tuple[int, str, Callable[[], Table]]:
-    """A table subcommand's row count, the config fields it comes from and the sweep call that builds the table.
+def _table(command: str, cfg: RunConfig, resolved: Resolved) -> tuple[int, str, Callable[[], Table]]:
+    """A table subcommand's row count, the config paths it comes from and the sweep call that builds the table.
 
     The count is arithmetic, from the axis point counts that ``resolve``
     checked: no axis exists until the call runs.
     """
-    game, lists = resolved.game, resolved.lists
-    d_axis = (s.d_min, s.d_max, s.d_step, "sweep.d_step")
-    split_axis = (0.0, 1.0, s.split_step, "sweep.split_step")
+    game, lists, curve_param = resolved.game, resolved.lists, cfg["sweep.curve_param"]
+    d_axis = (cfg["sweep.d_min"], cfg["sweep.d_max"], cfg["sweep.d_step"], "sweep.d_step")
+    split_axis = (0.0, 1.0, cfg["sweep.split_step"], "sweep.split_step")
 
     if command == "utility-curves":
         # an empty list means the parameter's default family; None stands for the distance axis
         if lists["curve_values"]:
             values = lists["curve_values"]
-        elif s.curve_param == "d":
+        elif curve_param == "d":
             values = None
         else:
-            values = lists["gammas"] if s.curve_param == "gamma" else [0.2, 0.5, 0.7]
+            values = lists["gammas"] if curve_param == "gamma" else [0.2, 0.5, 0.7]
         curves = resolved.d_points if values is None else len(values)
         return ((curves + 2) * (game.grid_cells + 1), "sweep.curve_values x game.grid_step",
-                lambda: sweep_mod.utility_curves(resolved.allocator, game, s.curve_param,
+                lambda: sweep_mod.utility_curves(resolved.allocator, game, curve_param,
                                                  axis_values(*d_axis) if values is None else values))
     if command == "acceptance-matrix":
         return (resolved.d_points * resolved.split_points, "sweep.d_step x sweep.split_step",
@@ -179,7 +185,7 @@ def _table(command: str, s: SweepSection, resolved: Resolved) -> tuple[int, str,
     axis1, axis2 = lists["axis1_values"], lists["axis2_values"]
     return (len(axis1) * len(axis2), "sweep.axis1_values x sweep.axis2_values",
             lambda: sweep_mod.game_grid(resolved.allocator, resolved.recipient, game,
-                                        (s.axis1, axis1), (s.axis2, axis2)))
+                                        (cfg["sweep.axis1"], axis1), (cfg["sweep.axis2"], axis2)))
 
 
 _SUBCOMMANDS = ("play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid")
@@ -199,9 +205,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--print-config", action="store_true", help="dump the effective config and exit")
         groups = {}
         for param, _, kwargs in _FLAGS:
-            if param.attr not in groups:
-                groups[param.attr] = p.add_argument_group(param.attr)
-            groups[param.attr].add_argument(param.flag, **kwargs)
+            title = param.section.rpartition(".")[2]
+            if title not in groups:
+                groups[title] = p.add_argument_group(title)
+            groups[title].add_argument(param.flag, **kwargs)
         if name == "play":
             p.add_argument("--offer", type=float,
                            help="skip the allocator and evaluate this offered share directly")
@@ -222,8 +229,8 @@ def run(argv: Sequence[str] | None = None) -> int:
             outcome = play(resolved.allocator, resolved.recipient, resolved.game, offer=args.offer)
             chunks = (json.dumps(_rounded(outcome.to_record()), separators=(",", ":")) + "\n",)
         else:
-            chunks = _render(build(), cfg.output.format)  # the table is built before the first chunk is written
-        _write_output(chunks, cfg.output.path)
+            chunks = _render(build(), cfg["output.format"])  # the table is built before the first chunk is written
+        _write_output(chunks, cfg["output.path"])
         return 0
     except _CONFIG_ERRORS as exc:
         sys.stderr.write(f"ERROR {exc}\n")

@@ -3,12 +3,13 @@
 The on-disk format is a flat INI-style file with sections ``game``,
 ``agent.allocator``, ``agent.recipient``, ``payoff``, ``sweep`` and
 ``output``. Parsing is strict: unknown sections (``[DEFAULT]`` too) or
-keys are errors, and every violation names the offending field path.
+keys are errors, a file that is not UTF-8 cannot be read, and every
+violation names the offending parameter by its path.
 
-Each section declares its fields once, as name -> (default, metadata);
-the metadata adds only what the name cannot say (on-disk ``key``,
-``flag``, ``help``, ``choices``). Config keys, flags and ``dump_config``
-derive from ``PARAMS``; ``parse_value`` reads a file key's and a flag's
+Each parameter is one row of ``PARAMS``: its path (``section.key``),
+flag, default, choices and help. The loader's keys, the flags and
+``dump_config`` all come from that table, and a ``RunConfig`` is a dict
+from path to value; ``parse_value`` reads a file key's and a flag's
 text alike.
 Loading only reads: ``resolve`` alone checks choices and ranges, once per
 call and whatever the subcommand, so ``--print-config`` refuses what the
@@ -26,7 +27,7 @@ from contextlib import contextmanager
 
 from .game import ConfigError, GameConfig, TieBreak, axis_points
 from .identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
-from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens, ValueObject
+from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens
 from .sweep import with_param
 
 
@@ -34,120 +35,66 @@ class ConfigFileError(ValueError):
     """Raised on unreadable, malformed, or invalid configuration."""
 
 
-def _param(default, key=None, flag=None, help=None, choices=None):
-    return default, {"key": key, "flag": flag, "help": help, "choices": choices}
+Param = namedtuple("Param", "path section key flag type default choices help")
+Param.__doc__ = """One config parameter: a row of ``PARAMS``.
+
+For example: ``path`` "agent.allocator.distance", on-disk ``section``
+"agent.allocator" and ``key`` "distance", ``flag`` "--allocator-d";
+``type`` is the default's type; ``choices`` and ``help`` may be None.
+"""
 
 
-class _Section(ValueObject):
-    """A config section: one attribute per entry of its ``FIELDS``, name -> (default, metadata), set to the default."""
-
-    FIELDS: dict[str, tuple[object, dict]] = {}
-
-    def __init__(self) -> None:
-        for name, (default, _) in self.FIELDS.items():
-            setattr(self, name, default)
-
-    def _fields(self) -> dict:
-        return self.FIELDS
-
-
-class AgentSection(_Section):
-    FIELDS = {
-        "gamma": _param(0.5),
-        "distance": _param(1.0, flag="d"),
-        "fairness_mode": _param("baseline", flag="mode", choices=FairnessKind),
-        "tau": _param(0.5),  # consulted only under agent_tau mode
-    }
-
-
-class PayoffSection(_Section):
-    FIELDS = {
-        "family": _param("exp_value", choices=LensFamily),
-        "k": _param(DEFAULT_STEEPNESS),
-        "lam": _param(DEFAULT_LOSS_AVERSION, key="lambda"),  # 'lambda' is a keyword
-    }
+def _param(path: str, flag: str, default, choices=None, help=None) -> Param:
+    section, _, key = path.rpartition(".")
+    return Param(path, section, key, flag, type(default), default,
+                 choices and tuple(getattr(c, "value", c) for c in choices), help)
 
 
 # the player parameters a game-grid axis may vary
 _AXES = tuple(f"{role}.{param}" for role in ("allocator", "recipient") for param in ("gamma", "d", "tau"))
 
-
-class SweepSection(_Section):
-    FIELDS = {
-        "d_min": _param(0.0),
-        "d_max": _param(2.4),
-        "d_step": _param(0.2),
-        "split_step": _param(0.05),
-        "curve_param": _param("d", choices=("d", "gamma", "tau")),
-        # comma list; empty means mode-specific defaults
-        "curve_values": _param("", help="comma-separated values for the curve family"),
-        "gammas": _param("0.2,0.4,0.6,0.8", flag="gamma", help="comma-separated gamma list for tau-curves"),
-        "axis1": _param("allocator.gamma", choices=_AXES),
-        "axis1_values": _param("0.2,0.4,0.6,0.8"),
-        "axis2": _param("recipient.gamma", choices=_AXES),
-        "axis2_values": _param("0.2,0.4,0.6,0.8"),
-    }
-
-
-class OutputSection(_Section):
-    FIELDS = {
-        "path": _param("-", flag="output", help="output path, '-' for stdout"),
-        "format": _param("csv", choices=("csv", "json"), help="output format"),
-    }
-
-
-class GameSection(_Section):
-    FIELDS = {
-        "grid_step": _param(0.01),
-        "accept_threshold": _param(0.0),
-        "tie_break": _param("closest_to_equal", choices=TieBreak),
-        "tolerance": _param(1e-9),
-        "own_tau_zero": _param(False),
-    }
-
-
-# on-disk section -> (flag prefix, section class); the RunConfig attribute is the last word
-_SECTIONS = {"game": ("", GameSection), "agent.allocator": ("allocator-", AgentSection),
-             "agent.recipient": ("recipient-", AgentSection), "payoff": ("payoff-", PayoffSection),
-             "sweep": ("", SweepSection), "output": ("", OutputSection)}
-
-
-class RunConfig(ValueObject):
-    """A run's config: one section object per on-disk section, named by the section's last word."""
-
-    def __init__(self) -> None:
-        for attr, (_, cls) in zip(self._fields(), _SECTIONS.values()):
-            setattr(self, attr, cls())
-
-    def _fields(self) -> list[str]:
-        return [section.rpartition(".")[2] for section in _SECTIONS]
-
-
-Param = namedtuple("Param", "path key attr name flag type choices help")
-Param.__doc__ = """One config parameter, derived from its section field.
-
-For example: ``path`` "agent.allocator.distance", on-disk ``key`` "distance",
-RunConfig ``attr`` "allocator", field ``name`` "distance", ``flag``
-"--allocator-d"; ``type`` is the default's type; ``choices`` and ``help`` may be None.
-"""
-
-
-def _params() -> list[Param]:
-    out = []
-    for section, (prefix, cls) in _SECTIONS.items():
-        attr = section.rpartition(".")[2]
-        for name, (default, meta) in cls.FIELDS.items():
-            key = meta["key"] or name
-            flag = "--" + prefix + (meta["flag"] or key).replace("_", "-")
-            choices = meta["choices"] and tuple(getattr(c, "value", c) for c in meta["choices"])
-            out.append(Param(f"{section}.{key}", key, attr, name, flag, type(default), choices, meta["help"]))
-    return out
-
-
-PARAMS = _params()
+# Every parameter, in the order --print-config writes its sections and keys.
+PARAMS = [
+    _param("game.grid_step", "--grid-step", 0.01),
+    _param("game.accept_threshold", "--accept-threshold", 0.0),
+    _param("game.tie_break", "--tie-break", "closest_to_equal", choices=TieBreak),
+    _param("game.tolerance", "--tolerance", 1e-9),
+    _param("game.own_tau_zero", "--own-tau-zero", False),
+    *[row for role in ("allocator", "recipient") for row in (
+        _param(f"agent.{role}.gamma", f"--{role}-gamma", 0.5),
+        _param(f"agent.{role}.distance", f"--{role}-d", 1.0),
+        _param(f"agent.{role}.fairness_mode", f"--{role}-mode", "baseline", choices=FairnessKind),
+        _param(f"agent.{role}.tau", f"--{role}-tau", 0.5),  # consulted only under agent_tau mode
+    )],
+    _param("payoff.family", "--payoff-family", "exp_value", choices=LensFamily),
+    _param("payoff.k", "--payoff-k", DEFAULT_STEEPNESS),
+    _param("payoff.lambda", "--payoff-lambda", DEFAULT_LOSS_AVERSION),
+    _param("sweep.d_min", "--d-min", 0.0),
+    _param("sweep.d_max", "--d-max", 2.4),
+    _param("sweep.d_step", "--d-step", 0.2),
+    _param("sweep.split_step", "--split-step", 0.05),
+    _param("sweep.curve_param", "--curve-param", "d", choices=("d", "gamma", "tau")),
+    # comma list; empty means mode-specific defaults
+    _param("sweep.curve_values", "--curve-values", "", help="comma-separated values for the curve family"),
+    _param("sweep.gammas", "--gamma", "0.2,0.4,0.6,0.8", help="comma-separated gamma list for tau-curves"),
+    _param("sweep.axis1", "--axis1", "allocator.gamma", choices=_AXES),
+    _param("sweep.axis1_values", "--axis1-values", "0.2,0.4,0.6,0.8"),
+    _param("sweep.axis2", "--axis2", "recipient.gamma", choices=_AXES),
+    _param("sweep.axis2_values", "--axis2-values", "0.2,0.4,0.6,0.8"),
+    _param("output.path", "--output", "-", help="output path, '-' for stdout"),
+    _param("output.format", "--format", "csv", choices=("csv", "json"), help="output format"),
+]
 _BY_PATH: dict[str, Param] = {p.path: p for p in PARAMS}
+_SECTIONS = dict.fromkeys(p.section for p in PARAMS)  # in order
 # domain constructor argument -> config key, where the two differ
 _DOMAIN_KEYS = {"d": "distance", "loss_aversion": "lambda", "steepness": "k"}
+
+
+class RunConfig(dict):
+    """A run's config: the value of each parameter by its path, starting at the defaults."""
+
+    def __init__(self) -> None:
+        super().__init__((p.path, p.default) for p in PARAMS)
 
 
 def parse_value(p: Param, raw: str):
@@ -182,7 +129,7 @@ Resolved = namedtuple("Resolved", "game allocator recipient lists d_points split
 Resolved.__doc__ = """The objects ``resolve`` built from a config while checking it.
 
 ``game`` is the GameConfig, ``allocator`` and ``recipient`` the PlayerSpecs,
-``lists`` the sweep comma lists, parsed, by field name, and ``d_points`` and
+``lists`` the sweep comma lists, parsed, by key, and ``d_points`` and
 ``split_points`` the point counts of the sweep.d_step and sweep.split_step axes.
 """
 
@@ -190,40 +137,43 @@ Resolved.__doc__ = """The objects ``resolve`` built from a config while checking
 def resolve(cfg: RunConfig) -> Resolved:
     """The game, players, sweep lists and axis sizes of a config, or the error naming the path of its first fault."""
     for p in PARAMS:
-        value = getattr(getattr(cfg, p.attr), p.name)
+        value = cfg[p.path]
         if p.type is float and not math.isfinite(value):
             raise ConfigFileError(f"{p.path} must be finite, got {value}")
         if p.choices and value not in p.choices:
             raise ConfigFileError(f"{p.path} must be one of {', '.join(p.choices)}; got {value!r}")
-    s = cfg.sweep
-    if s.axis1 == s.axis2:
-        raise ConfigFileError(f"sweep.axis2 must differ from sweep.axis1, both are {s.axis1}")
+    axis1, axis2, curve_param = cfg["sweep.axis1"], cfg["sweep.axis2"], cfg["sweep.curve_param"]
+    if axis1 == axis2:
+        raise ConfigFileError(f"sweep.axis2 must differ from sweep.axis1, both are {axis1}")
     with _named("game"):
-        game = GameConfig(**dict(vars(cfg.game), tie_break=TieBreak(cfg.game.tie_break)))
+        game = GameConfig(**dict({p.key: cfg[p.path] for p in PARAMS if p.section == "game"},
+                                 tie_break=TieBreak(cfg["game.tie_break"])))
     with _named("payoff"):
-        lens = PayoffLens(LensFamily(cfg.payoff.family), loss_aversion=cfg.payoff.lam, steepness=cfg.payoff.k)
+        lens = PayoffLens(LensFamily(cfg["payoff.family"]), loss_aversion=cfg["payoff.lambda"],
+                          steepness=cfg["payoff.k"])
     players = {}
     for role in ("allocator", "recipient"):
-        a = getattr(cfg, role)
-        with _named(f"agent.{role}"):
-            kind = FairnessKind(a.fairness_mode)
-            mode = FairnessMode.agent_tau(a.tau)  # range-checked in every mode, not only where consulted
-            players[role] = PlayerSpec(a.gamma, a.distance, mode if kind is mode.kind else FairnessMode(kind), lens)
+        agent = f"agent.{role}"
+        with _named(agent):
+            kind = FairnessKind(cfg[f"{agent}.fairness_mode"])
+            mode = FairnessMode.agent_tau(cfg[f"{agent}.tau"])  # range-checked in every mode, not only where consulted
+            players[role] = PlayerSpec(cfg[f"{agent}.gamma"], cfg[f"{agent}.distance"],
+                                       mode if kind is mode.kind else FairnessMode(kind), lens)
     # Each sweep entry sets one player parameter and is range-checked here as
     # that parameter, in every mode. The probe is an agent_tau player, so that
     # a tau entry is range-checked whatever the mode of the player it varies.
     probe = PlayerSpec(0.0, 0.0, FairnessMode.agent_tau(0.0), lens)
     with _named("sweep", "d_min"):
-        with_param(probe, "d", s.d_min)
+        with_param(probe, "d", cfg["sweep.d_min"])
     # game.axis_points counts each step-built axis, checked by the rule that builds it
-    d_points = axis_points(s.d_min, s.d_max, s.d_step, "sweep.d_step")
-    split_points = axis_points(0.0, 1.0, s.split_step, "sweep.split_step")
+    d_points = axis_points(cfg["sweep.d_min"], cfg["sweep.d_max"], cfg["sweep.d_step"], "sweep.d_step")
+    split_points = axis_points(0.0, 1.0, cfg["sweep.split_step"], "sweep.split_step")
     # parsed and checked one list at a time, so the first faulty list is named;
     # only sweep.curve_values may be empty, meaning the parameter's default family
     lists = {}
-    for name, param in (("gammas", "gamma"), ("curve_values", s.curve_param),
-                        ("axis1_values", s.axis1.partition(".")[2]), ("axis2_values", s.axis2.partition(".")[2])):
-        raw = getattr(s, name)
+    for name, param in (("gammas", "gamma"), ("curve_values", curve_param),
+                        ("axis1_values", axis1.partition(".")[2]), ("axis2_values", axis2.partition(".")[2])):
+        raw = cfg[f"sweep.{name}"]
         lists[name] = parse_value_list(raw, f"sweep.{name}")
         with _named("sweep", name):
             for value in lists[name]:
@@ -231,7 +181,7 @@ def resolve(cfg: RunConfig) -> Resolved:
         if not lists[name] and name != "curve_values":
             raise ConfigFileError(f"sweep.{name} must hold at least one value, got {raw!r}")
     # a tau that a sweep varies needs its player in agent_tau mode; the curves vary the allocator
-    for key, axis in (("curve_param", f"allocator.{s.curve_param}"), ("axis1", s.axis1), ("axis2", s.axis2)):
+    for key, axis in (("curve_param", f"allocator.{curve_param}"), ("axis1", axis1), ("axis2", axis2)):
         role, _, param = axis.partition(".")
         if param == "tau":
             with _named("sweep", key):
@@ -267,7 +217,7 @@ def loads_config(text: str, source: str = "<config>") -> RunConfig:
             p = _BY_PATH.get(f"{section}.{key}")
             if p is None:
                 raise ConfigFileError(f"unknown key {section}.{key} in {source}")
-            setattr(getattr(cfg, p.attr), p.name, parse_value(p, raw))
+            cfg[p.path] = parse_value(p, raw)
     return cfg
 
 
@@ -275,7 +225,7 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark, if any, is not text
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigFileError(f"cannot read config {path}: {exc}")
     return loads_config(text, source=path)
 
@@ -292,7 +242,7 @@ def dump_config(cfg: RunConfig) -> str:
     for section in _SECTIONS:
         buf.write(f"[{section}]\n")
         for p in PARAMS:
-            if p.path.rpartition(".")[0] == section:
-                buf.write(f"{p.key} = {fmt(getattr(getattr(cfg, p.attr), p.name))}\n")
+            if p.section == section:
+                buf.write(f"{p.key} = {fmt(cfg[p.path])}\n")
         buf.write("\n")
     return buf.getvalue()

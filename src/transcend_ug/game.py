@@ -277,6 +277,13 @@ def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Split | None:
     return None if share is None else Split(share)
 
 
+def check_offer(offer: float) -> float:
+    """An offered share, or the ConfigError of one that is not a finite share in [0,1]: the one offer rule."""
+    if not 0.0 <= offer <= 1.0:
+        raise ConfigError(f"offer must be a finite share in [0,1], got {offer}")
+    return offer
+
+
 def play(
     allocator: PlayerSpec, recipient: PlayerSpec, cfg: GameConfig, offer: float | None = None
 ) -> Outcome:
@@ -291,9 +298,7 @@ def play(
         proposal = Split(argmax(u_alloc, cfg)[0])
         offered = proposal.partner_share
     else:
-        if not 0.0 <= offer <= 1.0:
-            raise ConfigError(f"offer must be a finite share in [0,1], got {offer}")
-        offered = cfg.snap(offer)
+        offered = cfg.snap(check_offer(offer))
         proposal = Split(1.0 - offered)
     accepted = accepts_offer(u_recip, cfg, offered)
     if accepted:

@@ -39,8 +39,8 @@ MAX_LOSS_AVERSION = sys.float_info.max / 2
 class ValueObject:
     """Equality and repr of a plain value class, by its constructor fields; its objects are not hashable.
 
-    The fields are the parameters of ``__init__`` after ``self``, each kept as the attribute of its name,
-    unless the class names them in its own ``_fields``; a cached property's value is not a field.
+    The fields are the parameters of ``__init__`` after ``self``, each kept as the attribute of its name;
+    a cached property's value is not a field.
     """
 
     def _fields(self) -> Iterable[str]:

@@ -13,7 +13,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import transcend_ug
 from conftest import reference_render
@@ -43,10 +43,10 @@ distance = 1.0
 class TestLoadConfig:
     def test_minimal_config_gets_documented_defaults(self):
         cfg = loads_config(MINIMAL)
-        assert cfg.allocator.fairness_mode == "baseline"
-        assert cfg.game.grid_step == 0.01
-        assert cfg.payoff.k == 16.0
-        assert cfg.payoff.lam == 2.0
+        assert cfg["agent.allocator.fairness_mode"] == "baseline"
+        assert cfg["game.grid_step"] == 0.01
+        assert cfg["payoff.k"] == 16.0
+        assert cfg["payoff.lambda"] == 2.0
 
     # loading only reads a file; resolve checks it, naming the same config path
     def test_low_lambda_names_field(self):
@@ -83,7 +83,7 @@ class TestLoadConfig:
 
     def test_linear_family_skips_lambda_check(self):
         cfg = loads_config(MINIMAL + "\n[payoff]\nfamily = linear\nlambda = 0.5\n")
-        assert cfg.payoff.family == "linear"
+        assert cfg["payoff.family"] == "linear"
         resolve(cfg)
 
     @pytest.mark.parametrize(
@@ -104,9 +104,8 @@ class TestLoadConfig:
     def test_configs_that_differ_in_one_key_are_unequal(self, p):
         # so that the round trip above compares every key
         cfg = RunConfig()
-        value = getattr(getattr(cfg, p.attr), p.name)
-        other = not value if p.type is bool else value + (1.0 if p.type is float else "x")
-        setattr(getattr(cfg, p.attr), p.name, other)
+        value = cfg[p.path]
+        cfg[p.path] = not value if p.type is bool else value + (1.0 if p.type is float else "x")
         assert cfg != RunConfig() and RunConfig() == RunConfig()
 
 
@@ -205,6 +204,15 @@ class TestCliExitCodes:
         assert out == ""
         assert "unknown section [DEFAULT]" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--print-config"]], ids=["run", "print-config"])
+    def test_config_that_is_not_utf8_exits_2(self, tmp_path, extra, capsys):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(b"[game]\ngrid_step = 0.05\xff\n")
+        assert run(["play", "--config", str(cfg_file)] + extra) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"ERROR cannot read config {cfg_file}: 'utf-8' codec can't decode byte 0xff")
+
     def test_help_is_printed_before_flag_text_is_read(self, capsys):
         assert run(["play", "--grid-step", "x", "-h"]) == 0
         assert "--grid-step" in capsys.readouterr().out
@@ -217,7 +225,7 @@ class TestCliExitCodes:
         assert run(argv) == 0
         capsys.readouterr()
         assert run(argv + ["--print-config"]) == 0
-        assert loads_config(capsys.readouterr().out).payoff.lam == 3.0
+        assert loads_config(capsys.readouterr().out)["payoff.lambda"] == 3.0
 
     def test_unwritable_output_exits_1(self, tmp_path, capsys):
         out = tmp_path / "missing" / "grid.csv"
@@ -444,7 +452,7 @@ def test_every_output_has_the_readme_columns(capsys):
     assert set(tables) == {"utility-curves", "acceptance-matrix", "tau-curves", "game-grid"}
     for command, columns in tables.items():
         cfg = RunConfig()
-        build = cli._table(command, cfg.sweep, resolve(cfg))[2]
+        build = cli._table(command, cfg, resolve(cfg))[2]
         declared = build().columns
         assert [name for name, _ in declared] == columns
         assert all(list(row) == columns for row in build())
@@ -813,7 +821,8 @@ def _run_logged(argv):
 
 # Sweep and player settings: some invalid alone (an uneven or oversized step, a
 # step longer than its span, an empty list or list entry, an out-of-range list),
-# some only together (a tau sweep and a mode).
+# some only together (a tau sweep and a mode), and play's --offer: out of range,
+# not finite, or off the grid, which is valid.
 # Every valid combination runs in a few milliseconds.
 _SETTINGS = [
     ("--d-step", "0.7"), ("--d-step", "0.4"), ("--d-step", "1e-9"), ("--d-min", "-1"), ("--d-min", "3"),
@@ -826,6 +835,7 @@ _SETTINGS = [
     ("--curve-param", "tau"), ("--curve-param", "gamma"), ("--axis1", "allocator.tau"), ("--axis2", "recipient.tau"),
     *[(f"--{role}-mode", mode) for role in ("allocator", "recipient")
       for mode in ("baseline", "agent_tau", "association")],
+    ("--offer", "2"), ("--offer", "-0.1"), ("--offer", "nan"), ("--offer", "0.123"),
 ]
 
 
@@ -844,17 +854,54 @@ def _example(command, *chosen):
 @_example("utility-curves", ("--curve-param", "tau"), ("--allocator-mode", "association"))
 @_example("game-grid", ("--axis2", "recipient.tau"), ("--recipient-mode", "association"))
 @_example("game-grid", ("--axis1", "allocator.tau"), ("--allocator-mode", "baseline"))
+@_example("play", ("--offer", "2"))
 @settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
 def test_print_config_refuses_what_the_run_refuses(command, chosen):
+    offered = any(flag == "--offer" for flag, _ in chosen)
+    assume(command == "play" or not offered)  # --offer is play's own flag
     argv = [command] + [f"{flag}={value}" for flag, value in chosen]
     ran, printed = _run_logged(argv), _run_logged(argv + ["--print-config"])
     # a setting is valid or a configuration error: no setting makes the run fail at runtime
     assert ran[0] in (0, 2) and printed[0] in (0, 2)
     assert ran[0] == printed[0]
     if ran[0] == 2:
-        # the same message both ways, naming the config key at fault, and nothing on stdout
+        # the same message both ways, naming the config key or the offer at fault, and nothing on stdout
         assert ran == printed and ran[1] == ""
-        assert any(p.path in message for p in PARAMS for message in ran[2])
+        assert any(p.path in message for p in PARAMS for message in ran[2]) or (
+            offered and any(message.startswith("offer ") for message in ran[2]))
+
+
+# Value texts for any parameter but a switch, besides its valid one in
+# FLAG_TABLE: out of range, not finite, not a number, empty, and lists with
+# an empty entry. None has leading or trailing blanks, which configparser
+# strips from a file's value.
+_VALUE_TEXTS = ["-1", "1.5", "1e12", "nan", "inf", "x", "", "0.5,2", "0.2,,0.4", ","]
+
+
+@st.composite
+def _one_setting_each(draw):
+    """1-3 parameters in PARAMS order, each with a value text; a switch (None) is its bare flag."""
+    rows = draw(st.lists(st.sampled_from([p for p in PARAMS if p.path != "output.path"]),  # a path writes a file
+                         min_size=1, max_size=3, unique=True))
+    return [(p, None if p.type is bool else draw(st.sampled_from([FLAG_TABLE[p.path][1], *_VALUE_TEXTS])))
+            for p in sorted(rows, key=PARAMS.index)]
+
+
+@given(command=st.sampled_from(["play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid"]),
+       chosen=_one_setting_each())
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
+def test_a_flag_and_its_file_key_are_one_setting(tmp_path_factory, command, chosen):
+    # the same exit code, stdout and stderr whether each value comes as its flag
+    # (FLAG_TABLE's, not the one PARAMS gives) or as its key in a file, written
+    # in the order the flags are applied
+    flags = [FLAG_TABLE[p.path][0] + ("" if value is None else f"={value}") for p, value in chosen]
+    sections = {}
+    for p, value in chosen:
+        sections.setdefault(p.section, []).append(f"{p.key} = {'true' if value is None else value}\n")
+    cfg_file = tmp_path_factory.getbasetemp() / "one-setting.cfg"
+    cfg_file.write_text("".join(f"[{section}]\n" + "".join(keys) for section, keys in sections.items()))
+    for extra in ([], ["--print-config"]):
+        assert _run_captured([command] + flags + extra) == _run_captured([command, "--config", str(cfg_file)] + extra)
 
 
 _AXES = ["allocator.gamma", "allocator.d", "allocator.tau", "recipient.gamma", "recipient.d", "recipient.tau"]
@@ -892,7 +939,7 @@ def test_counted_rows_are_the_emitted_rows(command, grid_step, d_axis, split_ste
     emitted = len(out.splitlines()) - 1
     # the table the sweep returns holds as many rows as the arithmetic count
     cfg, resolved, build = cli._effective_config(cli.build_parser().parse_args(argv))
-    assert len(build()) == cli._table(command, cfg.sweep, resolved)[0] == emitted
+    assert len(build()) == cli._table(command, cfg, resolved)[0] == emitted
     # one row over the bound: exit 2 with nothing written, --print-config too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "MAX_POINTS", emitted - 1)
@@ -903,8 +950,9 @@ def test_counted_rows_are_the_emitted_rows(command, grid_step, d_axis, split_ste
 
 
 def test_each_call_logs_to_the_stderr_it_runs_with():
-    # A fresh interpreter: under pytest the root logger already has handlers,
-    # so the CLI's logging.basicConfig would do nothing here.
+    # A fresh interpreter, free of the streams that pytest's capture installs:
+    # each call must write to the sys.stderr of its moment, not to one bound
+    # when the package was imported.
     code = textwrap.dedent("""
         import io, sys
         from transcend_ug import cli
