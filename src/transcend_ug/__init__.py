@@ -1,9 +1,8 @@
 """Deterministic Ultimatum Game simulator for transcended agents with fairness thresholds."""
 
-from .game import GameConfig, Outcome, PlayerSpec, TieBreak, accepts, best_split, min_acceptable_split, play, utility_of_split
+from .game import GameConfig, Outcome, PlayerSpec, TieBreak, accepts_offer, argmax, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, effective_tau
 from .payoff import LensFamily, PayoffLens, compile_lens
-from .utility import Split, baseline_ug_utility, fair_ug_utility
 
 __all__ = [
     "FairnessKind",
@@ -13,17 +12,14 @@ __all__ = [
     "Outcome",
     "PayoffLens",
     "PlayerSpec",
-    "Split",
     "TieBreak",
-    "accepts",
-    "baseline_ug_utility",
-    "best_split",
+    "accepts_offer",
+    "argmax",
     "compile_lens",
+    "compile_player",
     "effective_tau",
-    "fair_ug_utility",
-    "min_acceptable_split",
     "play",
-    "utility_of_split",
+    "scan",
 ]
 
 __version__ = "0.1.0"

@@ -20,10 +20,10 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import sweep as sweep_mod
 from .config import PARAMS, ConfigFileError, Resolved, RunConfig, dump_config, load_config, parse_value, resolve
-from .game import MAX_POINTS, ConfigError, check_offer, play
+from .game import MAX_POINTS, ConfigError, axis_values, check_offer, play
 from .identity import IdentityError
 from .payoff import LensConfigError
-from .sweep import Table, axis_values
+from .sweep import Table
 
 _CONFIG_ERRORS = (ConfigFileError, ConfigError, LensConfigError, IdentityError)
 

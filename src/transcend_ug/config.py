@@ -205,6 +205,7 @@ def parse_value_list(raw: str, path: str) -> list[float]:
 
 def loads_config(text: str, source: str = "<config>") -> RunConfig:
     parser = configparser.ConfigParser(interpolation=None, default_section="")  # [DEFAULT] is a section
+    parser.optionxform = str  # keys match exactly, as sections do: GRID_STEP is not grid_step
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:

@@ -16,7 +16,6 @@ from operator import itemgetter
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
 from .payoff import Utility, ValueObject, ug_kernel
-from .utility import Split
 
 # Relative slack within which a step counts as dividing a span evenly. It
 # is fixed: the tie tolerance must not decide which grids exist.
@@ -147,9 +146,9 @@ class GameConfig(ValueObject):
 
 
 class Outcome(ValueObject):
-    """Record of a single played game."""
+    """Record of a single played game; ``proposed_split`` is the allocator's own share."""
 
-    def __init__(self, proposed_split: Split, accepted: bool, payoff_allocator: float, payoff_recipient: float,
+    def __init__(self, proposed_split: float, accepted: bool, payoff_allocator: float, payoff_recipient: float,
                  util_allocator: float, util_recipient: float) -> None:
         self.proposed_split, self.accepted = proposed_split, accepted
         self.payoff_allocator, self.payoff_recipient = payoff_allocator, payoff_recipient
@@ -157,7 +156,7 @@ class Outcome(ValueObject):
 
     def to_record(self) -> dict:
         return {
-            "proposed_split": self.proposed_split.own_share,
+            "proposed_split": self.proposed_split,
             "accepted": self.accepted,
             "payoff_allocator": self.payoff_allocator,
             "payoff_recipient": self.payoff_recipient,
@@ -181,13 +180,6 @@ def compile_player(player: PlayerSpec, cfg: GameConfig) -> Utility:
     return ug_kernel(w, player.lens, tau, own_tau)
 
 
-def utility_of_split(player: PlayerSpec, cfg: GameConfig, own: float) -> float:
-    """Utility the player derives from keeping ``own`` of the unit resource."""
-    if not 0.0 <= own <= 1.0:
-        raise ValueError(f"own share must lie in [0,1], got {own}")
-    return compile_player(player, cfg)(own, 1.0 - own)
-
-
 def _break_ties(candidates: list[float], rule: TieBreak) -> float:
     if rule is TieBreak.LOWEST_OWN_SHARE:
         return min(candidates)
@@ -204,7 +196,8 @@ Scan.__doc__ = """A utility evaluated over a grid of own shares.
 
 ``top`` is the largest utility, ``best`` the utility-maximizing share with
 ties broken per config, and ``min_acceptable`` the first share whose
-utility clears the threshold, or None.
+utility clears the threshold, or None (acceptance is not guaranteed above
+it: high-threshold curves are U-shaped).
 """
 
 
@@ -248,33 +241,9 @@ def argmax(utility: Utility, cfg: GameConfig) -> tuple[float, float]:
     return _break_ties(ties, cfg.tie_break), top
 
 
-def best_split(player: PlayerSpec, cfg: GameConfig) -> tuple[Split, float]:
-    """Utility-maximizing own share over the split grid, ties broken per config."""
-    best, top = argmax(compile_player(player, cfg), cfg)
-    return Split(best), top
-
-
 def accepts_offer(utility: Utility, cfg: GameConfig, offered: float) -> bool:
     """Whether a recipient of this compiled utility accepts the offered share: the one response rule."""
     return cfg.clears(utility(offered, 1.0 - offered))
-
-
-def accepts(player: PlayerSpec, cfg: GameConfig, offered: float) -> bool:
-    """Whether the recipient accepts the offered share."""
-    if not 0.0 <= offered <= 1.0:
-        raise ValueError(f"offered share must lie in [0,1], got {offered}")
-    return accepts_offer(compile_player(player, cfg), cfg, offered)
-
-
-def min_acceptable_split(player: PlayerSpec, cfg: GameConfig) -> Split | None:
-    """Smallest grid share the player would accept, if any.
-
-    Acceptance is not guaranteed above this point (high-threshold curves
-    are U-shaped); this is the locus where the utility first clears the
-    acceptance threshold.
-    """
-    share = scan(compile_player(player, cfg), cfg).min_acceptable
-    return None if share is None else Split(share)
 
 
 def check_offer(offer: float) -> float:
@@ -295,14 +264,14 @@ def play(
     u_alloc = compile_player(allocator, cfg)
     u_recip = compile_player(recipient, cfg)
     if offer is None:
-        proposal = Split(argmax(u_alloc, cfg)[0])
-        offered = proposal.partner_share
+        proposal = argmax(u_alloc, cfg)[0]
+        offered = 1.0 - proposal
     else:
         offered = cfg.snap(check_offer(offer))
-        proposal = Split(1.0 - offered)
+        proposal = 1.0 - offered
     accepted = accepts_offer(u_recip, cfg, offered)
     if accepted:
-        pay_alloc, pay_recip = proposal.own_share, offered
+        pay_alloc, pay_recip = proposal, offered
     else:
         pay_alloc, pay_recip = 0.0, 0.0
     return Outcome(

@@ -58,10 +58,6 @@ class PlayerSpec(ValueObject):
         if not (math.isfinite(self.d) and self.d >= 0.0):
             raise IdentityError(f"d must be finite and >= 0, got {self.d}")
 
-    @classmethod
-    def two_party(cls, gamma: float, d: float, mode: FairnessMode, lens: PayoffLens) -> "PlayerSpec":
-        return cls(gamma, d, mode, lens)
-
 
 def weight(gamma: float, d: float) -> float:
     """Weight gamma**d of a payoff at distance d, with 0**0 taken as 1."""

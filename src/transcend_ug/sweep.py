@@ -11,8 +11,7 @@ import marshal
 import os
 from collections.abc import Callable, Iterator, Sequence
 
-# the step-built-axis rule and SweepError live in game; sweep callers may import them from here
-from .game import GameConfig, SweepError, accepts_offer, axis_points, axis_values, compile_player, play, scan
+from .game import GameConfig, SweepError, accepts_offer, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
 from .payoff import PayoffLens
 
@@ -207,7 +206,7 @@ def game_grid(
         runs = []
         for a, r in chunk:
             outcomes = [play(*apply(a, r, name2, v2), cfg) for v2 in values2]
-            runs.append(([o.proposed_split.own_share for o in outcomes], [int(o.accepted) for o in outcomes]))
+            runs.append(([o.proposed_split for o in outcomes], [int(o.accepted) for o in outcomes]))
         return runs
 
     n = min(_usable_cpus(), len(starts)) if hasattr(os, "fork") else 1

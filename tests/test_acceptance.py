@@ -13,18 +13,10 @@ import pytest
 
 from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility
 from transcend_ug.cli import run
-from transcend_ug.game import (
-    GameConfig,
-    PlayerSpec,
-    accepts,
-    best_split,
-    min_acceptable_split,
-    utility_of_split,
-)
+from transcend_ug.game import GameConfig, PlayerSpec, accepts_offer, argmax, axis_values, compile_player, scan
 from transcend_ug.identity import FairnessMode
 from transcend_ug.payoff import LensFamily, PayoffLens
-from transcend_ug.sweep import acceptance_matrix, axis_values, tau_curves
-from transcend_ug.utility import baseline_ug_utility, fair_ug_utility
+from transcend_ug.sweep import acceptance_matrix, tau_curves
 
 LENS = PayoffLens()  # calibrated defaults under test
 GRID = GameConfig()  # 0.01 resolution
@@ -34,15 +26,15 @@ SPLITS_05 = axis_values(0.0, 1.0, 0.05)
 
 
 def baseline(gamma, d):
-    return PlayerSpec.two_party(gamma, d, FairnessMode.baseline(), LENS)
+    return PlayerSpec(gamma, d, FairnessMode.baseline(), LENS)
 
 
 def agent_tau(gamma, d, tau):
-    return PlayerSpec.two_party(gamma, d, FairnessMode.agent_tau(tau), LENS)
+    return PlayerSpec(gamma, d, FairnessMode.agent_tau(tau), LENS)
 
 
 def association(gamma, d):
-    return PlayerSpec.two_party(gamma, d, FairnessMode.association(), LENS)
+    return PlayerSpec(gamma, d, FairnessMode.association(), LENS)
 
 
 def matrix_row(player_gamma, tau, d):
@@ -58,9 +50,9 @@ def test_criterion_01_baseline_greed():
     start = time.perf_counter()
     for gamma in [g / 10 for g in range(1, 10)]:
         for d in (0.5, 1.0, 2.0):
-            assert best_split(baseline(gamma, d), GRID)[0].own_share == 1.0
+            assert argmax(compile_player(baseline(gamma, d), GRID), GRID)[0] == 1.0
     for d in (0.5, 1.0, 2.0):
-        assert best_split(baseline(1.0, d), GRID)[0].own_share == 0.5
+        assert argmax(compile_player(baseline(1.0, d), GRID), GRID)[0] == 0.5
     assert time.perf_counter() - start < 1.0
     report(1, "baseline allocator takes the full resource except at gamma=1")
 
@@ -68,21 +60,21 @@ def test_criterion_01_baseline_greed():
 def test_criterion_02_baseline_universal_acceptance():
     for gamma in [g / 10 for g in range(1, 10)]:
         for d in (0.5, 1.0, 2.0):
-            player = baseline(gamma, d)
-            assert all(accepts(player, GRID, s) for s in GRID.splits())
+            utility = compile_player(baseline(gamma, d), GRID)
+            assert all(accepts_offer(utility, GRID, s) for s in GRID.splits())
     report(2, "baseline recipient accepts every offer on the 0.01 grid")
 
 
 def test_criterion_03_fixed_min_acceptable_locus():
     for d in D_SWEEP:
-        found = min_acceptable_split(agent_tau(0.5, d, 0.5), GRID)
+        found = scan(compile_player(agent_tau(0.5, d, 0.5), GRID), GRID).min_acceptable
         assert found is not None
-        assert abs(found.own_share - 0.5) <= GRID.grid_step + 1e-12
+        assert abs(found - 0.5) <= GRID.grid_step + 1e-12
     report(3, "tau=0.5 min-acceptable split stays at 0.5 across distances")
 
 
 def test_criterion_04_allocator_monotonicity():
-    shares = [best_split(agent_tau(0.4, d, 0.2), GRID)[0].own_share for d in D_SWEEP]
+    shares = [argmax(compile_player(agent_tau(0.4, d, 0.2), GRID), GRID)[0] for d in D_SWEEP]
     assert shares == sorted(shares)
     report(4, "low-tau allocator share is nondecreasing in distance (partial)")
 
@@ -121,7 +113,7 @@ def test_criterion_04_allocator_reaches_full_share():
     d_full = full_share_distance(LENS, gamma, tau)
 
     def share(d):
-        return best_split(agent_tau(gamma, d, tau), GRID)[0].own_share
+        return argmax(compile_player(agent_tau(gamma, d, tau), GRID), GRID)[0]
 
     assert share(d_full - 0.05) == 1.0 - tau
     far = [d_full + 0.05 + (d_full - 0.05) * i / 20 for i in range(21)]
@@ -161,10 +153,10 @@ def test_criterion_04_full_share_by_d_2_4_conflicts_with_criterion_06():
     spots = [(i, j) for i in range(0, n, 11) for j in range(0, n, 11)]
     mode = FairnessMode.agent_tau(tau)
     for ij in spots:
-        recipient = PlayerSpec.two_party(gamma, 0.0, mode, lenses[ij])
-        allocator = PlayerSpec.two_party(gamma, 2.4, mode, lenses[ij])
-        assert accepts(recipient, GRID, 0.15) is not (ij in calibrated)
-        assert (best_split(allocator, GRID)[0].own_share == 1.0) is (ij in saturated)
+        recipient = PlayerSpec(gamma, 0.0, mode, lenses[ij])
+        allocator = PlayerSpec(gamma, 2.4, mode, lenses[ij])
+        assert accepts_offer(compile_player(recipient, GRID), GRID, 0.15) is not (ij in calibrated)
+        assert (argmax(compile_player(allocator, GRID), GRID)[0] == 1.0) is (ij in saturated)
     # the spot checks see both outcomes of each closed form
     assert {ij in calibrated for ij in spots} == {True, False}
     assert {ij in saturated for ij in spots} == {True, False}
@@ -172,9 +164,9 @@ def test_criterion_04_full_share_by_d_2_4_conflicts_with_criterion_06():
 
 
 def test_criterion_05_inequity_aversion_at_zero_distance():
-    player = agent_tau(0.4, 0.0, 0.5)
+    utility = compile_player(agent_tau(0.4, 0.0, 0.5), GRID)
     for s in GRID.splits():
-        u = utility_of_split(player, GRID, s)
+        u = utility(s, 1.0 - s)
         assert u <= 0.0
         if abs(u) < 1e-9:
             assert s == 0.5
@@ -261,15 +253,15 @@ def test_criterion_11_oracle_equivalence():
                 mode = FairnessMode.association()
                 t = 1.0 - (1.0 if d == 0 else gamma ** d)
             oracle_u = lambda s, t=t: oracle_fair_utility(gamma, d, t, k, lam, s)
-        player = PlayerSpec.two_party(gamma, d, mode, lens)
+        player = PlayerSpec(gamma, d, mode, lens)
         fine_best, fine_min = brute_force_scan(oracle_u, cells=cfg.grid_cells * 10)
-        assert abs(best_split(player, cfg)[0].own_share - fine_best) <= cfg.grid_step + 1e-12
-        found = min_acceptable_split(player, cfg)
+        assert abs(argmax(compile_player(player, cfg), cfg)[0] - fine_best) <= cfg.grid_step + 1e-12
+        found = scan(compile_player(player, cfg), cfg).min_acceptable
         if fine_min is None:
             assert found is None
         else:
             assert found is not None
-            assert abs(found.own_share - fine_min) <= cfg.grid_step + 1e-12
+            assert abs(found - fine_min) <= cfg.grid_step + 1e-12
     assert time.perf_counter() - start < 30.0
     report(11, "200 sampled configs agree with the 10x-finer brute-force scan")
 
@@ -281,11 +273,11 @@ def test_criterion_12_linear_reduction_identity():
         gamma = gi / 9
         for di in range(10):
             d = 2.4 * di / 9
+            fair = compile_player(PlayerSpec(gamma, d, FairnessMode.agent_tau(0.0), linear), GRID)
+            plain = compile_player(PlayerSpec(gamma, d, FairnessMode.baseline(), linear), GRID)
             for si in range(101):
                 s = si / 100
-                delta = fair_ug_utility(gamma, d, 0.0, linear, s, 1.0 - s) - (
-                    baseline_ug_utility(gamma, d, s, 1.0 - s)
-                )
+                delta = fair(s, 1.0 - s) - plain(s, 1.0 - s)
                 assert abs(delta) <= 1e-12
                 count += 1
     assert count >= 10_000

@@ -59,8 +59,10 @@ class TestLoadConfig:
             resolve(loads_config(bad))
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigFileError, match="unknown key"):
-            loads_config(MINIMAL + "\n[game]\ngrid_size = 0.1\n")
+        # keys match exactly, as sections do, so a key in another case is unknown
+        for key in ("grid_size", "GRID_STEP", "Grid_Step"):
+            with pytest.raises(ConfigFileError, match=rf"^unknown key game\.{key} in <config>$"):
+                loads_config(MINIMAL + f"\n[game]\n{key} = 0.1\n")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigFileError, match="unknown section"):

@@ -1,9 +1,12 @@
+import ast
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility
+import transcend_ug
 from transcend_ug.game import (
     MAX_TOLERANCE,
     ConfigError,
@@ -11,32 +14,31 @@ from transcend_ug.game import (
     PlayerSpec,
     SweepError,
     TieBreak,
-    accepts,
+    accepts_offer,
     argmax,
     axis_points,
     axis_values,
-    best_split,
     compile_player,
-    min_acceptable_split,
     play,
     scan,
-    utility_of_split,
 )
 from transcend_ug.identity import FairnessKind, FairnessMode
 from transcend_ug.payoff import LensFamily, PayoffLens
 
 EXP8 = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
+LINEAR = PayoffLens(LensFamily.LINEAR)
 DEFAULT_LENS = PayoffLens()
+CFG = GameConfig()  # the default game, shared read-only
 
 
 def baseline(gamma, d, lens=DEFAULT_LENS):
-    return PlayerSpec.two_party(gamma, d, FairnessMode.baseline(), lens)
+    return PlayerSpec(gamma, d, FairnessMode.baseline(), lens)
 
 def agent_tau(gamma, d, tau, lens=DEFAULT_LENS):
-    return PlayerSpec.two_party(gamma, d, FairnessMode.agent_tau(tau), lens)
+    return PlayerSpec(gamma, d, FairnessMode.agent_tau(tau), lens)
 
 def association(gamma, d, lens=DEFAULT_LENS):
-    return PlayerSpec.two_party(gamma, d, FairnessMode.association(), lens)
+    return PlayerSpec(gamma, d, FairnessMode.association(), lens)
 
 
 def _refuses(call, *args, **kwargs) -> bool:
@@ -118,44 +120,75 @@ class TestGameConfig:
         assert capsys.readouterr().err == ""
 
 
+def utility_at(player, own, cfg=CFG):
+    """The player's compiled utility of keeping ``own``, its partner getting the rest."""
+    return compile_player(player, cfg)(own, 1.0 - own)
+
+
 class TestUtilityOfSplit:
     def test_baseline_dispatch(self):
-        cfg = GameConfig()
-        assert utility_of_split(baseline(0.5, 1.0), cfg, 1.0) == pytest.approx(2.0 / 3.0)
+        assert utility_at(baseline(0.5, 1.0), 1.0) == pytest.approx(2.0 / 3.0)
 
     def test_agent_tau_balanced_split_is_zero(self):
-        cfg = GameConfig()
-        assert utility_of_split(agent_tau(0.4, 0.0, 0.5), cfg, 0.5) == 0.0
+        assert utility_at(agent_tau(0.4, 0.0, 0.5), 0.5) == 0.0
+
+    def test_zero_disparities_give_zero(self):
+        assert utility_at(agent_tau(0.6, 0.0, 0.5, EXP8), 0.5) == 0.0
 
     def test_association_at_zero_distance_never_negative(self):
         cfg = GameConfig()
         player = association(0.4, 0.0)
         for s in cfg.splits():
-            assert utility_of_split(player, cfg, s) >= 0.0
+            assert utility_at(player, s, cfg) >= 0.0
 
-    def test_out_of_range_share_rejected(self):
-        with pytest.raises(ValueError):
-            utility_of_split(baseline(0.5, 1.0), GameConfig(), 1.2)
+    def test_baseline_hand_evaluated_example(self):
+        # (0.8 + 0.5*0.2)/1.5
+        assert utility_at(baseline(0.5, 1.0), 0.8) == pytest.approx(0.6, abs=1e-12)
+
+    def test_fair_hand_evaluated_example(self):
+        u = utility_at(agent_tau(0.4, 1.0, 0.2, EXP8), 0.6)
+        assert u == pytest.approx(0.9131994205884084, abs=1e-12)
+        assert u == pytest.approx(oracle_fair_utility(0.4, 1.0, 0.2, 8.0, 2.0, 0.6), abs=1e-15)
+
+    def test_full_identification_is_half_for_any_split(self):
+        for own in (0.0, 0.3, 1.0):
+            assert utility_at(baseline(1.0, 2.0), own) == pytest.approx(0.5)
+
+    def test_no_identification_returns_own_share(self):
+        assert utility_at(baseline(0.0, 1.0), 0.35) == pytest.approx(0.35)
+
+    def test_linear_zero_tau_reduces_to_baseline(self):
+        for gamma, d, own in [(0.3, 1.2, 0.8), (0.9, 0.0, 0.1)]:
+            assert utility_at(agent_tau(gamma, d, 0.0, LINEAR), own) == pytest.approx(
+                utility_at(baseline(gamma, d), own), abs=1e-15
+            )
+
+    def test_own_tau_zero_lifts_an_own_shortfall(self):
+        # association at d = 1 gives tau = 0.5: an own share of 0.3 is a shortfall unless judged against 0
+        player = association(0.5, 1.0, EXP8)
+        plain = utility_at(player, 0.3)
+        anchored = utility_at(player, 0.3, GameConfig(own_tau_zero=True))
+        assert anchored > plain
 
 
 class TestBestSplit:
     def test_baseline_takes_everything(self):
-        split, util = best_split(baseline(0.5, 1.0), GameConfig())
-        assert split.own_share == 1.0
+        share, util = argmax(compile_player(baseline(0.5, 1.0), CFG), CFG)
+        assert share == 1.0
         assert util == pytest.approx(2.0 / 3.0)
 
     def test_full_identification_ties_resolve_to_half(self):
-        split, util = best_split(baseline(1.0, 1.7), GameConfig())
-        assert split.own_share == 0.5
+        share, util = argmax(compile_player(baseline(1.0, 1.7), CFG), CFG)
+        assert share == 0.5
         assert util == pytest.approx(0.5)
 
     def test_half_tau_zero_distance_peaks_at_half(self):
         player = agent_tau(0.5, 0.0, 0.5, EXP8)
-        split, _ = best_split(player, GameConfig())
+        share, _ = argmax(compile_player(player, CFG), CFG)
         oracle_best, _ = brute_force_scan(
             lambda s: oracle_fair_utility(0.5, 0.0, 0.5, 8.0, 2.0, s), cells=1000
         )
-        assert split.own_share == 0.5 == oracle_best
+        assert share == 0.5 == oracle_best
 
     def test_tie_break_variants(self):
         for rule, expected in [
@@ -164,15 +197,16 @@ class TestBestSplit:
             (TieBreak.HIGHEST_OWN_SHARE, 1.0),
         ]:
             cfg = GameConfig(tie_break=rule)
-            split, _ = best_split(baseline(1.0, 1.0), cfg)
-            assert split.own_share == expected
+            share, _ = argmax(compile_player(baseline(1.0, 1.0), cfg), cfg)
+            assert share == expected
 
     def test_mirror_maxima_resolve_to_lower_share(self):
         # At d = 0 the utility is symmetric in s <-> 1 - s; with tau above one
         # half it peaks at 0.30 and 0.70, whose float distances from 0.5 differ.
         lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=3.0, steepness=2.0)
-        split, _ = best_split(agent_tau(0.5, 0.0, 0.7, lens), GameConfig(grid_step=0.02))
-        assert split.own_share == 0.3
+        cfg = GameConfig(grid_step=0.02)
+        share, _ = argmax(compile_player(agent_tau(0.5, 0.0, 0.7, lens), cfg), cfg)
+        assert share == 0.3
 
 
 def counted(utility, calls):
@@ -281,36 +315,78 @@ def test_compiled_player_is_the_closed_form(gamma, d, mode, lens, own_tau_zero, 
     assert utility(own, 1.0 - own) == expected
 
 
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.4),
+    st.floats(0.0, 1.0),
+)
+def test_baseline_consistent_with_general_ct_utility(gamma, d, own):
+    expected = oracle_baseline_utility(gamma, d, own)
+    assert utility_at(baseline(gamma, d), own) == pytest.approx(expected, abs=1e-12)
+
+
+@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+def test_zero_distance_symmetry(gamma, tau, own):
+    utility = compile_player(agent_tau(gamma, 0.0, tau, EXP8), GameConfig())
+    assert utility(own, 1.0 - own) == utility(1.0 - own, own)
+
+
+@given(st.floats(0.0, 1.0))
+def test_zero_distance_half_tau_never_positive(own):
+    u = utility_at(agent_tau(0.7, 0.0, 0.5, EXP8), own)
+    if abs(own - 0.5) < 1e-12:
+        assert u == 0.0
+    else:
+        assert u < 0.0
+
+
+def test_advantaged_side_turns_positive_with_distance():
+    # at half tau the advantaged share starts negative and flips sign once
+    # the attenuation drops below the gain/loss perception ratio
+    own = 0.7
+    assert utility_at(agent_tau(0.5, 0.0, 0.5, EXP8), own) < 0.0
+    assert utility_at(agent_tau(0.5, 2.0, 0.5, EXP8), own) > 0.0
+
+
+@given(
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 2.4),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+)
+def test_magnitude_bounded_by_lens_extremes(gamma, d, tau, own):
+    u = utility_at(agent_tau(gamma, d, tau, EXP8), own)
+    assert abs(u) <= max(1.0, EXP8.loss_aversion)
+
+
 class TestMinAcceptableSplit:
     def test_baseline_accepts_from_zero(self):
         for gamma, d in [(0.2, 0.5), (0.8, 2.0)]:
-            found = min_acceptable_split(baseline(gamma, d), GameConfig())
-            assert found is not None and found.own_share == 0.0
+            assert scan(compile_player(baseline(gamma, d), CFG), CFG).min_acceptable == 0.0
 
     def test_half_tau_locus_fixed_at_half(self):
         for d in (0.0, 1.0, 2.4):
-            found = min_acceptable_split(agent_tau(0.5, d, 0.5, EXP8), GameConfig())
-            assert found is not None and found.own_share == 0.5
+            assert scan(compile_player(agent_tau(0.5, d, 0.5, EXP8), CFG), CFG).min_acceptable == 0.5
 
     def test_extreme_tau_at_zero_distance_has_no_acceptable_split(self):
-        assert min_acceptable_split(agent_tau(0.5, 0.0, 0.9), GameConfig()) is None
+        assert scan(compile_player(agent_tau(0.5, 0.0, 0.9), CFG), CFG).min_acceptable is None
 
 
 class TestAccepts:
     def test_baseline_accepts_zero_offer(self):
-        assert accepts(baseline(0.3, 1.0), GameConfig(), 0.0)
+        assert accepts_offer(compile_player(baseline(0.3, 1.0), CFG), CFG, 0.0)
 
     def test_moderate_tau_rejects_unequal_offer_at_zero_distance(self):
-        assert not accepts(agent_tau(0.4, 0.0, 0.5), GameConfig(), 0.3)
+        assert not accepts_offer(compile_player(agent_tau(0.4, 0.0, 0.5), CFG), CFG, 0.3)
 
     def test_association_accepts_tiny_offer_at_zero_distance(self):
-        assert accepts(association(0.4, 0.0), GameConfig(), 0.05)
+        assert accepts_offer(compile_player(association(0.4, 0.0), CFG), CFG, 0.05)
 
 
 class TestPlay:
     def test_dual_baseline(self):
         outcome = play(baseline(0.5, 1.0), baseline(0.5, 1.0), GameConfig())
-        assert outcome.proposed_split.own_share == 1.0
+        assert outcome.proposed_split == 1.0
         assert outcome.accepted
         assert (outcome.payoff_allocator, outcome.payoff_recipient) == (1.0, 0.0)
         assert outcome.util_allocator == pytest.approx(2.0 / 3.0)
@@ -319,12 +395,12 @@ class TestPlay:
     def test_symmetric_moderate_tau_settles_at_half(self):
         player = agent_tau(0.5, 0.0, 0.5, EXP8)
         outcome = play(player, player, GameConfig())
-        assert outcome.proposed_split.own_share == 0.5
+        assert outcome.proposed_split == 0.5
         assert outcome.accepted
 
     def test_greedy_allocator_meets_demanding_recipient(self):
         outcome = play(baseline(0.2, 1.0), agent_tau(0.4, 1.0, 0.7), GameConfig())
-        assert outcome.proposed_split.own_share == 1.0
+        assert outcome.proposed_split == 1.0
         assert not outcome.accepted
         assert (outcome.payoff_allocator, outcome.payoff_recipient) == (0.0, 0.0)
 
@@ -338,12 +414,13 @@ class TestPlay:
 
     def test_offer_replaces_the_proposal(self):
         outcome = play(baseline(0.5, 1.0), baseline(0.5, 1.0), GameConfig(), offer=0.3)
-        assert outcome.proposed_split.own_share == 0.7
+        assert outcome.proposed_split == 0.7
         assert (outcome.payoff_allocator, outcome.payoff_recipient) == (0.7, 0.3)
 
-    @pytest.mark.parametrize("offer", [math.nan, math.inf, -0.1, 1.5])
+    # an offer is the one share from outside the split grid, so no non-finite share reaches a compiled player
+    @pytest.mark.parametrize("offer", [math.nan, math.inf, -math.inf, -0.1, 1.5])
     def test_offer_outside_unit_interval_rejected(self, offer):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^offer must be a finite share in \[0,1\], got "):
             play(baseline(0.5, 1.0), baseline(0.5, 1.0), GameConfig(), offer=offer)
 
     def test_determinism(self):
@@ -367,7 +444,7 @@ def test_zero_sum_conservation(g1, d1, g2, d2, kind, tau):
         "agent_tau": FairnessMode.agent_tau(tau),
         "association": FairnessMode.association(),
     }[kind]
-    recipient = PlayerSpec.two_party(g2, d2, mode, DEFAULT_LENS)
+    recipient = PlayerSpec(g2, d2, mode, DEFAULT_LENS)
     outcome = play(baseline(g1, d1), recipient, GameConfig(grid_step=0.02))
     if outcome.accepted:
         assert outcome.payoff_allocator + outcome.payoff_recipient == 1.0
@@ -378,14 +455,14 @@ def test_zero_sum_conservation(g1, d1, g2, d2, kind, tau):
 @given(st.floats(0.1, 0.9), st.floats(0.01, 2.4))
 @settings(max_examples=40, deadline=None)
 def test_baseline_greed_below_full_identification(gamma, d):
-    split, _ = best_split(baseline(gamma, d), GameConfig())
-    assert split.own_share == 1.0
+    share, _ = argmax(compile_player(baseline(gamma, d), CFG), CFG)
+    assert share == 1.0
 
 
 def test_allocator_share_nondecreasing_in_distance_low_tau():
     cfg = GameConfig()
     shares = [
-        best_split(agent_tau(0.4, d / 10.0, 0.2), cfg)[0].own_share for d in range(0, 25, 2)
+        argmax(compile_player(agent_tau(0.4, d / 10.0, 0.2), cfg), cfg)[0] for d in range(0, 25, 2)
     ]
     assert shares == sorted(shares)
 
@@ -406,7 +483,7 @@ def test_oracle_equivalence_on_sampled_configs(gamma, d, kind, tau, lam, k):
         "association": FairnessMode.association(),
     }[kind]
     lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)
-    player = PlayerSpec.two_party(gamma, d, mode, lens)
+    player = PlayerSpec(gamma, d, mode, lens)
     cfg = GameConfig(grid_step=0.02)
 
     if kind == "baseline":
@@ -416,14 +493,14 @@ def test_oracle_equivalence_on_sampled_configs(gamma, d, kind, tau, lam, k):
         oracle_u = lambda s: oracle_fair_utility(gamma, d, t, k, lam, s)
 
     fine_best, fine_min = brute_force_scan(oracle_u, cells=cfg.grid_cells * 10)
-    split, _ = best_split(player, cfg)
-    assert abs(split.own_share - fine_best) <= cfg.grid_step + 1e-12
-    found = min_acceptable_split(player, cfg)
+    share, _ = argmax(compile_player(player, cfg), cfg)
+    assert abs(share - fine_best) <= cfg.grid_step + 1e-12
+    found = scan(compile_player(player, cfg), cfg).min_acceptable
     if fine_min is None:
         assert found is None
     else:
         assert found is not None
-        assert abs(found.own_share - fine_min) <= cfg.grid_step + 1e-12
+        assert abs(found - fine_min) <= cfg.grid_step + 1e-12
 
 
 @given(
@@ -450,9 +527,34 @@ def test_interior_argmax_matches_closed_form(gamma, frac, agent_tau_value, k, la
         d = frac * k * (1.0 - 2.0 * tau) / slope
         mode = FairnessMode.agent_tau(tau)
     assume(0.0 < tau < 0.5 and d < k * (1.0 - 2.0 * tau) / slope)
-    player = PlayerSpec.two_party(gamma, d, mode, PayoffLens(loss_aversion=lam, steepness=k))
+    player = PlayerSpec(gamma, d, mode, PayoffLens(loss_aversion=lam, steepness=k))
     # The default 1e-9 tie window is wider than one step where k*(share - tau)
     # is large and the utility is that flat; ties here are float noise only.
     cfg = GameConfig(grid_step=0.0001, tie_break=tie_break, tolerance=1e-14)
-    split, _ = best_split(player, cfg)
-    assert abs(split.own_share - (1.0 + d * slope / k) / 2.0) <= cfg.grid_step + 1e-12
+    share, _ = argmax(compile_player(player, cfg), cfg)
+    assert abs(share - (1.0 + d * slope / k) / 2.0) <= cfg.grid_step + 1e-12
+
+
+def callers(name):
+    """(module, innermost enclosing function) of each call of ``name`` in the package's source."""
+    found = set()
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == name:
+                found.add((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(transcend_ug.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_a_player_becomes_a_utility_in_one_place():
+    # compile_lens is the kernel at w = 0; association_tau is 1 - gamma**d
+    assert callers("ug_kernel") == {("game", "compile_player"), ("payoff", "compile_lens")}
+    assert callers("weight") == {("game", "compile_player"), ("identity", "association_tau")}

@@ -15,20 +15,20 @@ from transcend_ug.identity import (
 from transcend_ug.payoff import PayoffLens
 
 
-def two_party(gamma, d, mode=None):
-    return PlayerSpec.two_party(gamma, d, mode or FairnessMode.baseline(), PayoffLens())
+def player(gamma, d, mode=None):
+    return PlayerSpec(gamma, d, mode or FairnessMode.baseline(), PayoffLens())
 
 
 class TestPlayerSpec:
     @pytest.mark.parametrize("d", [-0.1, math.inf, math.nan])
     def test_negative_or_non_finite_distance_rejected(self, d):
         with pytest.raises(IdentityError, match="d must be finite"):
-            two_party(0.5, d)
+            player(0.5, d)
 
     def test_gamma_out_of_range_rejected(self):
         for gamma in (-0.1, 1.1):
             with pytest.raises(IdentityError):
-                two_party(gamma, 1.0)
+                player(gamma, 1.0)
 
 
 class TestAttenuation:
@@ -42,8 +42,10 @@ class TestAttenuation:
 
 class TestFairnessMode:
     def test_agent_tau_requires_tau_in_range(self):
-        with pytest.raises(IdentityError):
-            FairnessMode.agent_tau(1.2)
+        # a non-finite threshold is refused here, so it never reaches a compiled player
+        for tau in (1.2, math.nan, math.inf, -math.inf):
+            with pytest.raises(IdentityError):
+                FairnessMode.agent_tau(tau)
         with pytest.raises(IdentityError):
             FairnessMode(FairnessKind.AGENT_TAU)
 
@@ -53,43 +55,43 @@ class TestFairnessMode:
             FairnessMode(kind, 0.3)
 
     def test_baseline_resolves_to_zero(self):
-        assert effective_tau(two_party(0.5, 1.0)) == 0.0
+        assert effective_tau(player(0.5, 1.0)) == 0.0
 
     def test_agent_tau_is_distance_invariant(self):
         mode = FairnessMode.agent_tau(0.7)
         for d in (0.0, 0.3, 1.0, 2.4):
-            assert effective_tau(two_party(0.5, d, mode)) == 0.7
+            assert effective_tau(player(0.5, d, mode)) == 0.7
 
     def test_association_examples(self):
         mode = FairnessMode.association()
-        assert effective_tau(two_party(0.5, 1.0, mode)) == 0.5
+        assert effective_tau(player(0.5, 1.0, mode)) == 0.5
 
     @pytest.mark.parametrize("gamma, d", [(0.5, 1.0), (0.0, 0.0), (0.37, 2.4), (1.0, 0.7)])
     def test_association_threshold_is_one_formula(self, gamma, d):
         assert association_tau(gamma, d) == 1.0 - weight(gamma, d)
-        assert effective_tau(two_party(gamma, d, FairnessMode.association())) == association_tau(gamma, d)
+        assert effective_tau(player(gamma, d, FairnessMode.association())) == association_tau(gamma, d)
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.0, 2.4), st.floats(0.01, 2.0))
 def test_association_tau_increasing_in_distance(gamma, d, delta):
     mode = FairnessMode.association()
-    lo = effective_tau(two_party(gamma, d, mode))
-    hi = effective_tau(two_party(gamma, d + delta, mode))
+    lo = effective_tau(player(gamma, d, mode))
+    hi = effective_tau(player(gamma, d + delta, mode))
     assert 0.0 <= lo < hi <= 1.0
 
 
 @given(st.floats(0.01, 0.98), st.floats(0.01, 0.5), st.floats(0.1, 2.4))
 def test_association_tau_decreasing_in_gamma(gamma, bump, d):
     mode = FairnessMode.association()
-    assert effective_tau(two_party(gamma, d, mode)) > effective_tau(
-        two_party(min(gamma + bump, 1.0), d, mode)
+    assert effective_tau(player(gamma, d, mode)) > effective_tau(
+        player(min(gamma + bump, 1.0), d, mode)
     )
 
 
 def test_association_tau_zero_at_zero_distance():
     mode = FairnessMode.association()
     for gamma in (0.0, 0.2, 0.5, 1.0):
-        assert effective_tau(two_party(gamma, 0.0, mode)) == 0.0
+        assert effective_tau(player(gamma, 0.0, mode)) == 0.0
 
 
 def test_association_growth_rate_steeper_for_lower_gamma():
@@ -97,7 +99,7 @@ def test_association_growth_rate_steeper_for_lower_gamma():
     d = 0.05
     mode = FairnessMode.association()
     rate = {
-        g: effective_tau(two_party(g, d, mode)) / d for g in (0.2, 0.5, 0.8)
+        g: effective_tau(player(g, d, mode)) / d for g in (0.2, 0.5, 0.8)
     }
     assert rate[0.2] > rate[0.5] > rate[0.8]
     assert rate[0.2] == pytest.approx(-math.log(0.2), rel=0.05)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import oracle_f
-from transcend_ug.identity import IdentityError
+from transcend_ug.game import ConfigError, GameConfig, compile_player, play
+from transcend_ug.identity import FairnessMode, IdentityError, PlayerSpec
 from transcend_ug.payoff import (
     MAX_LOSS_AVERSION,
     LensConfigError,
@@ -13,7 +14,6 @@ from transcend_ug.payoff import (
     compile_lens,
     ug_kernel,
 )
-from transcend_ug.utility import baseline_ug_utility, fair_ug_utility
 
 EXP = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
 LINEAR = PayoffLens(LensFamily.LINEAR)
@@ -104,31 +104,47 @@ def test_compile_lens_rejects_non_finite_delta(lens, delta):
         compile_lens(lens)(delta)
 
 
+OFFER_REFUSED = r"^offer must be a finite share in \[0,1\], got "
+
+
 @pytest.mark.parametrize("lens", [EXP, LINEAR], ids=["exp_value", "linear"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("slot", ["own", "partner", "tau"])
 def test_fair_ug_utility_rejects_non_finite_input(lens, value, slot):
-    # the kernel does not check its inputs, so this public boundary must
-    args = {"own": 0.6, "partner": 0.4, "tau": 0.2, slot: value}
-    with pytest.raises(ValueError, match="finite"):
-        fair_ug_utility(0.5, 1.0, args["tau"], lens, args["own"], args["partner"])
+    # the kernel does not check its inputs, so the doors to a fair player must: tau enters
+    # through FairnessMode, and the one share from outside the split grid is play's offer
+    def fair(tau):
+        return PlayerSpec(0.5, 1.0, FairnessMode.agent_tau(tau), lens)
+
+    if slot == "tau":
+        with pytest.raises(IdentityError, match=r"^tau must lie in \[0,1\], got "):
+            fair(value)
+        return
+    # the offer is the recipient's own share and the allocator's partner share
+    other = PlayerSpec(0.5, 1.0, FairnessMode.baseline(), lens)
+    allocator, recipient = (other, fair(0.2)) if slot == "own" else (fair(0.2), other)
+    with pytest.raises(ConfigError, match=OFFER_REFUSED):
+        play(allocator, recipient, GameConfig(), offer=value)
 
 
 @pytest.mark.parametrize("utility", [
-    lambda gamma, d: fair_ug_utility(gamma, d, 0.2, PayoffLens(), 0.6, 0.4),
-    lambda gamma, d: baseline_ug_utility(gamma, d, 0.6, 0.4),
+    lambda gamma, d: compile_player(PlayerSpec(gamma, d, FairnessMode.agent_tau(0.2), PayoffLens()), GameConfig()),
+    lambda gamma, d: compile_player(PlayerSpec(gamma, d, FairnessMode.baseline(), PayoffLens()), GameConfig()),
 ], ids=["fair", "baseline"])
 @pytest.mark.parametrize("gamma, d", [(g, 1.0) for g in (math.nan, -0.1, 1.5)] + [(0.5, d) for d in (math.nan, math.inf, -1.0)])
 def test_utility_rejects_gamma_or_distance_out_of_domain(utility, gamma, d):
-    # PlayerSpec's rules, so a public utility answers no question a player could not ask
+    # a utility comes only from a player, so it answers no question a player could not ask
     with pytest.raises(IdentityError):
         utility(gamma, d)
 
 
 @pytest.mark.parametrize("own, partner", [(math.nan, 0.4), (0.6, math.inf)])
 def test_baseline_ug_utility_rejects_non_finite_share(own, partner):
-    with pytest.raises(ValueError, match="finite"):
-        baseline_ug_utility(0.5, 1.0, own, partner)
+    # a recipient judges (offer, 1 - offer), so a non-finite share reaches it only as a non-finite offer
+    offer = own if not math.isfinite(own) else 1.0 - partner
+    player = PlayerSpec(0.5, 1.0, FairnessMode.baseline(), PayoffLens())
+    with pytest.raises(ConfigError, match=OFFER_REFUSED):
+        play(player, player, GameConfig(), offer=offer)
 
 
 @given(valid_lenses, st.floats(-1.0, 1.0), st.floats(1e-6, 0.5))

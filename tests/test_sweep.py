@@ -10,11 +10,12 @@ from transcend_ug.game import (
     GameConfig,
     PlayerSpec,
     TieBreak,
-    accepts,
-    best_split,
-    min_acceptable_split,
+    accepts_offer,
+    argmax,
+    axis_values,
+    compile_player,
     play,
-    utility_of_split,
+    scan,
 )
 from transcend_ug.identity import FairnessKind, FairnessMode, IdentityError, association_tau
 from transcend_ug.payoff import LensFamily, PayoffLens
@@ -23,7 +24,6 @@ from transcend_ug.sweep import (
     ENVELOPE_MIN,
     SweepError,
     acceptance_matrix,
-    axis_values,
     game_grid,
     tau_curves,
     utility_curves,
@@ -35,7 +35,7 @@ EXP8 = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
 
 
 def player(gamma=0.5, d=1.0, mode=None, lens=LENS):
-    return PlayerSpec.two_party(gamma, d, mode or FairnessMode.baseline(), lens)
+    return PlayerSpec(gamma, d, mode or FairnessMode.baseline(), lens)
 
 
 class TestAxisValues:
@@ -332,7 +332,7 @@ class TestGameGrid:
                 role, _, param = name.partition(".")
                 cell[role] = with_param(cell[role], param, value)
             outcome = play(cell["allocator"], cell["recipient"], cfg)
-            assert row["proposed_split"] == outcome.proposed_split.own_share
+            assert row["proposed_split"] == outcome.proposed_split
             assert row["accepted"] == int(outcome.accepted)
 
 
@@ -453,8 +453,8 @@ def test_sweeps_agree_with_engine(
     cfg = GameConfig(
         grid_step=0.02, accept_threshold=threshold, tie_break=tie_break, own_tau_zero=own_tau_zero
     )
-    allocator = PlayerSpec.two_party(0.4, 1.0, alloc_mode, EXP8)
-    recipient = PlayerSpec.two_party(0.6, 0.5, recip_mode, LENS)
+    allocator = PlayerSpec(0.4, 1.0, alloc_mode, EXP8)
+    recipient = PlayerSpec(0.6, 0.5, recip_mode, LENS)
 
     # utility curves over a custom split grid mark what the engine picks on that grid
     split_cfg = GameConfig(
@@ -462,22 +462,22 @@ def test_sweeps_agree_with_engine(
     )
     rows = utility_curves(allocator, split_cfg, "d", ds)
     for d in ds:
-        player = with_param(allocator, "d", d)
+        utility = compile_player(with_param(allocator, "d", d), split_cfg)
         curve = [r for r in rows if r["curve_param"] == "d" and r["curve_value"] == d]
         assert [r["utility"] for r in curve] == [
-            utility_of_split(player, split_cfg, s) for s in split_cfg.splits()
+            utility(s, 1.0 - s) for s in split_cfg.splits()
         ]
         assert [r["split"] for r in curve if r["is_best_split"]] == [
-            best_split(player, split_cfg)[0].own_share
+            argmax(utility, split_cfg)[0]
         ]
-        found = min_acceptable_split(player, split_cfg)
+        found = scan(utility, split_cfg).min_acceptable
         assert [r["split"] for r in curve if r["is_min_acceptable"]] == (
-            [] if found is None else [found.own_share]
+            [] if found is None else [found]
         )
 
     for cell in acceptance_matrix(recipient, cfg, ds, offers):
-        player = with_param(recipient, "d", cell["d"])
-        assert cell["accepted"] == int(accepts(player, cfg, cell["split"]))
+        utility = compile_player(with_param(recipient, "d", cell["d"]), cfg)
+        assert cell["accepted"] == int(accepts_offer(utility, cfg, cell["split"]))
 
     # any two axes, of either role; a tau axis needs an agent_tau player
     specs = {"allocator": allocator, "recipient": recipient}
@@ -496,5 +496,5 @@ def test_sweeps_agree_with_engine(
             role, _, param = name.partition(".")
             players[role] = with_param(players[role], param, value)
         outcome = play(players["allocator"], players["recipient"], cfg)
-        assert cell["proposed_split"] == outcome.proposed_split.own_share
+        assert cell["proposed_split"] == outcome.proposed_split
         assert cell["accepted"] == int(outcome.accepted)
