@@ -2,7 +2,7 @@
 
 from .game import GameConfig, Outcome, PlayerSpec, TieBreak, accepts_offer, argmax, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, effective_tau
-from .payoff import LensFamily, PayoffLens, compile_lens
+from .payoff import LensFamily, PayoffLens
 
 __all__ = [
     "FairnessKind",
@@ -15,7 +15,6 @@ __all__ = [
     "TieBreak",
     "accepts_offer",
     "argmax",
-    "compile_lens",
     "compile_player",
     "effective_tau",
     "play",

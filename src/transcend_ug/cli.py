@@ -197,10 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="transcend-ug",
         description="Deterministic Ultimatum Game simulator for transcended agents with fairness thresholds.",
+        allow_abbrev=False,  # a flag is spelled in full, as a config key is
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _SUBCOMMANDS:
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("--config", help="config file path")
         p.add_argument("--print-config", action="store_true", help="dump the effective config and exit")
         groups = {}

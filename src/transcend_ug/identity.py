@@ -36,16 +36,8 @@ class FairnessMode(ValueObject):
             raise IdentityError(f"tau must be None for {self.kind.value} mode, got {self.tau}")
 
     @classmethod
-    def baseline(cls) -> "FairnessMode":
-        return cls(FairnessKind.BASELINE)
-
-    @classmethod
     def agent_tau(cls, tau: float) -> "FairnessMode":
         return cls(FairnessKind.AGENT_TAU, tau)
-
-    @classmethod
-    def association(cls) -> "FairnessMode":
-        return cls(FairnessKind.ASSOCIATION)
 
 
 class PlayerSpec(ValueObject):

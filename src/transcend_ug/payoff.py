@@ -111,18 +111,3 @@ def ug_kernel(w: float, lens: PayoffLens | None = None, tau: float = 0.0, own_ta
 
     return utility
 
-
-def compile_lens(lens: PayoffLens) -> Callable[[float], float]:
-    """The lens f of the disparity, strictly increasing with f(0)=0, as the kernel at w = 0.
-
-    A non-finite delta raises ValueError. At a negative partner share the
-    w = 0 term is -0.0, which adds exactly, so even f(-0.0) keeps its sign.
-    """
-    kernel, isfinite = ug_kernel(0.0, lens), math.isfinite
-
-    def f(delta: float) -> float:
-        if not isfinite(delta):
-            raise ValueError(f"delta must be finite, got {delta}")
-        return kernel(delta, -1.0)
-
-    return f

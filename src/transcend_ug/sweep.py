@@ -3,17 +3,17 @@
 Regenerates the published curve families, acceptance matrices, threshold
 curves, and settled-game grids as tables (``Table``), held as runs of
 columns. Every cell is computed by the game engine; rows are emitted in
-ascending coordinate order.
+ascending coordinate order. A sweep checks none of its inputs again:
+``config.resolve`` has refused each bad one, naming its config key.
 """
 from __future__ import annotations
 
 import marshal
 import os
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 
 from .game import GameConfig, SweepError, accepts_offer, compile_player, play, scan
 from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
-from .payoff import PayoffLens
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -30,27 +30,13 @@ class Table:
     stay the same through the run (None is an empty cell), and one
     sequence per remaining column, all of one length. A column that
     several runs share (a split grid, a distance axis) is the same object
-    in each run, so that a renderer can format it once. Iterating yields
-    each row as a dict keyed by the column names, in order; ``len`` is the
-    number of rows. Tables with equal columns and runs are equal.
+    in each run, so that a renderer can format it once.
     """
 
     __slots__ = ("columns", "runs")
 
     def __init__(self, columns: Columns, runs: list[tuple[tuple, tuple]]) -> None:
         self.columns, self.runs = columns, runs
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Table) and (self.columns, self.runs) == (other.columns, other.runs)
-
-    def __iter__(self) -> Iterator[dict[str, object]]:
-        names = [name for name, _ in self.columns]
-        for fixed, varying in self.runs:
-            for cells in zip(*varying):
-                yield dict(zip(names, fixed + cells))
-
-    def __len__(self) -> int:
-        return sum(len(varying[0]) for _, varying in self.runs)
 
 
 def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
@@ -88,11 +74,6 @@ def utility_curves(
     ``cfg.splits()`` itself. Every utility is emitted, so each curve is a
     full ``game.scan``, not a pruned argmax.
     """
-    if curve_param not in ("d", "gamma", "tau"):
-        raise SweepError(f"curve parameter must be one of d, gamma, tau; got {curve_param!r}")
-    if not curve_values:
-        raise SweepError("curve values must be non-empty")
-
     grid, runs, families = cfg.splits(), [], []
     zeros = [0] * len(grid)
     for value in curve_values:
@@ -124,12 +105,7 @@ def acceptance_matrix(
     splits: Sequence[float],
 ) -> Table:
     """Accept/reject flag for every (distance, offered split) cell: one run per distance, sharing one split column."""
-    if not d_values or not splits:
-        raise SweepError("matrix axes must be non-empty")
     shares = sorted(splits)
-    for s in shares:
-        if not 0.0 <= s <= 1.0:
-            raise SweepError(f"offered split must lie in [0,1], got {s}")
     runs = []
     for d in sorted(d_values):
         utility = compile_player(with_param(recipient, "d", d), cfg)
@@ -141,17 +117,7 @@ TAU_CURVES_COLUMNS: Columns = (("gamma", float), ("d", float), ("tau", float))
 
 
 def tau_curves(gammas: Sequence[float], d_values: Sequence[float]) -> Table:
-    """Association-derived threshold per (gamma, distance): one run per gamma, sharing one distance column.
-
-    ``PlayerSpec`` checks each gamma and d once.
-    """
-    if not gammas or not d_values:
-        raise SweepError("tau-curve axes must be non-empty")
-    mode, lens = FairnessMode.association(), PayoffLens()
-    for g in gammas:
-        PlayerSpec(g, 0.0, mode, lens)
-    for d in d_values:
-        PlayerSpec(0.0, d, mode, lens)
+    """Association-derived threshold per (gamma, distance): one run per gamma, sharing one distance column."""
     ds = sorted(d_values)
     return Table(TAU_CURVES_COLUMNS, [((g,), (ds, [association_tau(g, d) for d in ds])) for g in sorted(gammas)])
 
@@ -186,20 +152,7 @@ def game_grid(
 
     name1, values1 = axis1[0], sorted(axis1[1])
     name2, values2 = axis2[0], sorted(axis2[1])
-    if name1 == name2:
-        raise SweepError("game-grid axes must differ")
-    for name in (name1, name2):
-        if name.partition(".")[0] not in ("allocator", "recipient"):
-            raise SweepError(f"axis {name!r} must start with allocator. or recipient.")
-    if not values1 or not values2:
-        raise SweepError("game-grid axes must be non-empty")
-    # Apply every axis value once, in the order a row-by-row sweep meets
-    # them, so that a bad value raises its own error here, before any cell
-    # is played or any child forked.
-    starts = [apply(allocator, recipient, name1, values1[0])]
-    for v2 in values2:
-        apply(*starts[0], name2, v2)
-    starts += [apply(allocator, recipient, name1, v1) for v1 in values1[1:]]
+    starts = [apply(allocator, recipient, name1, v1) for v1 in values1]
 
     def play_runs(chunk: list[tuple[PlayerSpec, PlayerSpec]]) -> list[tuple[list[float], list[int]]]:
         """Each start's proposed_split and accepted columns."""

@@ -62,6 +62,12 @@ def brute_force_scan(
     return best, min_acc
 
 
+def rows(table) -> List[Dict[str, object]]:
+    """A sweep table's rows, each a dict keyed by its column names, in order."""
+    names = [name for name, _ in table.columns]
+    return [dict(zip(names, fixed + cells)) for fixed, varying in table.runs for cells in zip(*varying)]
+
+
 # The table renderer that per-table %-templates replaced, kept as the
 # reference for their output bytes: a cell's format comes from its value.
 def reference_rounded(record: Dict[str, object]) -> Dict[str, object]:

@@ -11,10 +11,10 @@ import time
 
 import pytest
 
-from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility
+from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility, rows
 from transcend_ug.cli import run
 from transcend_ug.game import GameConfig, PlayerSpec, accepts_offer, argmax, axis_values, compile_player, scan
-from transcend_ug.identity import FairnessMode
+from transcend_ug.identity import FairnessKind, FairnessMode
 from transcend_ug.payoff import LensFamily, PayoffLens
 from transcend_ug.sweep import acceptance_matrix, tau_curves
 
@@ -26,7 +26,7 @@ SPLITS_05 = axis_values(0.0, 1.0, 0.05)
 
 
 def baseline(gamma, d):
-    return PlayerSpec(gamma, d, FairnessMode.baseline(), LENS)
+    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.BASELINE), LENS)
 
 
 def agent_tau(gamma, d, tau):
@@ -34,12 +34,12 @@ def agent_tau(gamma, d, tau):
 
 
 def association(gamma, d):
-    return PlayerSpec(gamma, d, FairnessMode.association(), LENS)
+    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.ASSOCIATION), LENS)
 
 
 def matrix_row(player_gamma, tau, d):
-    rows = acceptance_matrix(agent_tau(player_gamma, 0.0, tau), GRID, [d], SPLITS_05)
-    return [r["split"] for r in rows if r["accepted"]]
+    matrix = rows(acceptance_matrix(agent_tau(player_gamma, 0.0, tau), GRID, [d], SPLITS_05))
+    return [r["split"] for r in matrix if r["accepted"]]
 
 
 def report(n, text):
@@ -200,8 +200,8 @@ def test_criterion_08_high_tau_matrix():
 
 def test_criterion_09_association_tau_curves():
     gammas = [0.2, 0.4, 0.5, 0.6, 0.8]
-    rows = tau_curves(gammas, D_SWEEP)
-    by_gamma = {g: [r["tau"] for r in rows if r["gamma"] == g] for g in gammas}
+    curves = rows(tau_curves(gammas, D_SWEEP))
+    by_gamma = {g: [r["tau"] for r in curves if r["gamma"] == g] for g in gammas}
     for g in gammas:
         curve = by_gamma[g]
         assert curve[0] == 0.0
@@ -209,7 +209,7 @@ def test_criterion_09_association_tau_curves():
     for lo, hi in zip(gammas, gammas[1:]):
         assert all(a >= b for a, b in zip(by_gamma[lo], by_gamma[hi]))
     assert abs(dict(zip(D_SWEEP, by_gamma[0.5]))[1.0] - 0.5) <= 1e-12
-    spot = [r["tau"] for r in tau_curves([0.8], [2.0])]
+    spot = [r["tau"] for r in rows(tau_curves([0.8], [2.0]))]
     assert abs(spot[0] - 0.36) <= 1e-12
     report(9, "association threshold curves: zero at d=0, monotone, ordered by gamma")
 
@@ -217,9 +217,9 @@ def test_criterion_09_association_tau_curves():
 def test_criterion_10_association_matrices():
     thresholds = {}
     for gamma in (0.2, 0.5, 0.8):
-        rows = acceptance_matrix(association(gamma, 0.0), GRID, D_SWEEP, SPLITS_05)
+        matrix = rows(acceptance_matrix(association(gamma, 0.0), GRID, D_SWEEP, SPLITS_05))
         by_d = {}
-        for cell in rows:
+        for cell in matrix:
             by_d.setdefault(cell["d"], []).append((cell["split"], cell["accepted"]))
         assert all(a for _, a in by_d[0.0])
         sub_half = [
@@ -243,14 +243,14 @@ def test_criterion_11_oracle_equivalence():
         k = rng.uniform(2.0, 20.0)
         lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)
         if kind == "baseline":
-            mode = FairnessMode.baseline()
+            mode = FairnessMode(FairnessKind.BASELINE)
             oracle_u = lambda s: oracle_baseline_utility(gamma, d, s)
         else:
             if kind == "agent_tau":
                 mode = FairnessMode.agent_tau(tau)
                 t = tau
             else:
-                mode = FairnessMode.association()
+                mode = FairnessMode(FairnessKind.ASSOCIATION)
                 t = 1.0 - (1.0 if d == 0 else gamma ** d)
             oracle_u = lambda s, t=t: oracle_fair_utility(gamma, d, t, k, lam, s)
         player = PlayerSpec(gamma, d, mode, lens)
@@ -274,7 +274,7 @@ def test_criterion_12_linear_reduction_identity():
         for di in range(10):
             d = 2.4 * di / 9
             fair = compile_player(PlayerSpec(gamma, d, FairnessMode.agent_tau(0.0), linear), GRID)
-            plain = compile_player(PlayerSpec(gamma, d, FairnessMode.baseline(), linear), GRID)
+            plain = compile_player(PlayerSpec(gamma, d, FairnessMode(FairnessKind.BASELINE), linear), GRID)
             for si in range(101):
                 s = si / 100
                 delta = fair(s, 1.0 - s) - plain(s, 1.0 - s)

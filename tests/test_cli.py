@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import transcend_ug
-from conftest import reference_render
+from conftest import reference_render, rows
 from transcend_ug import cli, config, sweep
 from transcend_ug.cli import run
 from transcend_ug.config import (
@@ -169,6 +169,8 @@ class TestCliExitCodes:
             ["play", "--print-config", "--gamma", "1.5"],
             ["play", "--print-config", "--curve-values", "-1"],
             ["play", "--print-config", "--axis1", "bogus.x"],
+            ["game-grid", "--axis1", "referee.gamma"],
+            ["utility-curves", "--curve-param", "epsilon"],
             # the largest tie tolerance must not let an uneven step through either
             ["play", "--tolerance", "1e-6", "--grid-step", "0.3"],
         ],
@@ -457,12 +459,12 @@ def test_every_output_has_the_readme_columns(capsys):
         build = cli._table(command, cfg, resolve(cfg))[2]
         declared = build().columns
         assert [name for name, _ in declared] == columns
-        assert all(list(row) == columns for row in build())
+        assert all(list(row) == columns for row in rows(build()))
         assert run([command]) == 0
         assert capsys.readouterr().out.splitlines()[0].split(",") == columns
         assert run([command, "--format", "json"]) == 0
-        rows = json.loads(capsys.readouterr().out)
-        assert rows and all(list(row) == columns for row in rows)
+        emitted = json.loads(capsys.readouterr().out)
+        assert emitted and all(list(row) == columns for row in emitted)
     record = re.search(r"^\* `play` prints one JSON record: (.*?)\.", text, re.M | re.S).group(1)
     assert run(["play"]) == 0
     assert list(json.loads(capsys.readouterr().out)) == re.findall(r"`(\w+)`", record)
@@ -514,7 +516,7 @@ def _tables(draw):
 def test_render_gives_the_reference_bytes(table):
     # the per-run templates write what the renderer that read each cell's type wrote for the table's rows
     for fmt in ("csv", "json"):
-        assert "".join(cli._render(table, fmt)) == reference_render(list(table), fmt)
+        assert "".join(cli._render(table, fmt)) == reference_render(rows(table), fmt)
 
 
 def _built(argv):
@@ -538,7 +540,7 @@ def test_runs_that_compare_equal_stay_apart(argv, name, n, capsys):
             assert run(argv + ["--format", fmt]) == 0
             out = capsys.readouterr().out
             table = _built(argv + ["--format", fmt])
-        assert out == reference_render(list(table), fmt)
+        assert out == reference_render(rows(table), fmt)
         if fmt == "csv":
             lines = out.splitlines()
             column = lines[0].split(",").index(name)
@@ -560,14 +562,14 @@ def test_a_chunk_holds_at_most_one_run(argv):
     assert len(table.runs) > 1
     for fmt, sep in (("csv", "\n"), ("json", ",")):
         # each row's text, as a one-row table gives it, and the longest run's rows joined
-        rows = [reference_render([row], fmt) for row in table]
-        rows = [text.splitlines()[1] if fmt == "csv" else text[1:-2] for text in rows]
+        texts = [reference_render([row], fmt) for row in rows(table)]
+        texts = [text.splitlines()[1] if fmt == "csv" else text[1:-2] for text in texts]
         longest, start = 0, 0
         for _, varying in table.runs:
-            longest = max(longest, len(sep.join(rows[start:start + len(varying[0])])))
+            longest = max(longest, len(sep.join(texts[start:start + len(varying[0])])))
             start += len(varying[0])
         chunks = list(cli._render(table, fmt))
-        assert "".join(chunks) == reference_render(list(table), fmt)
+        assert "".join(chunks) == reference_render(rows(table), fmt)
         assert max(map(len, chunks)) <= longest
         assert len(chunks) <= 2 * len(table.runs) + 2  # the head, each run after its separator, the end
 
@@ -598,7 +600,7 @@ def test_stdout_gets_each_run_as_it_is_rendered(monkeypatch, capsys):
     # the first run is written before the second is rendered, so a failure leaves it on stdout
     argv = _failing_in_second_run(monkeypatch)
     table = _built(argv)
-    first = reference_render(list(sweep.Table(table.columns, table.runs[:1])), "csv")
+    first = reference_render(rows(sweep.Table(table.columns, table.runs[:1])), "csv")
     assert run(argv) == 1
     assert capsys.readouterr().out == first[:-1]  # the header and the first run, with no closing newline
 
@@ -724,6 +726,25 @@ class TestParameterTable:
         assert listed == HELP_OPTIONS | ({"--offer"} if command == "play" else set())
         # resolve checks a choice, but the help still lists the values a choice flag takes
         assert all(f"\n  {p.flag} {{{','.join(p.choices)}}}" in text for p in PARAMS if p.choices)
+
+
+@pytest.mark.parametrize("command", ["play", "utility-curves", "acceptance-matrix", "tau-curves", "game-grid"])
+def test_an_abbreviated_flag_is_an_error(command, tmp_path):
+    # argparse would take an unambiguous prefix for its flag; a flag is spelled in full, as a config key is.
+    # Each flag gets a value it accepts, so that only the prefix can make the call fail.
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(MINIMAL)
+    values = {flag: value for flag, value, _ in FLAG_TABLE.values()}
+    values.update({"--config": str(cfg_file), "--output": str(tmp_path / "out.csv"), "--offer": "0.3",
+                   "--print-config": None, "--help": None})
+    flags = HELP_OPTIONS - {"-h"} | ({"--offer"} if command == "play" else set())
+    prefixes = [(flag[:n], values[flag]) for flag in sorted(flags) for n in range(3, len(flag))
+                if flag[:n] not in flags]  # --axis1 is a flag, not a prefix of --axis1-values
+    assert len(prefixes) > 250
+    for prefix, value in prefixes:
+        argv = [command, prefix if value is None else f"{prefix}={value}"]
+        assert _run_captured(argv)[:2] == (2, ""), argv
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def _run_quiet(argv):
@@ -939,9 +960,12 @@ def test_counted_rows_are_the_emitted_rows(command, grid_step, d_axis, split_ste
     rc, out, _ = _run_logged(argv)
     assert rc == 0
     emitted = len(out.splitlines()) - 1
-    # the table the sweep returns holds as many rows as the arithmetic count
+    # the table the sweep returns holds as many rows as the arithmetic count, and every float cell is finite
     cfg, resolved, build = cli._effective_config(cli.build_parser().parse_args(argv))
-    assert len(build()) == cli._table(command, cfg, resolved)[0] == emitted
+    table = build()
+    assert len(rows(table)) == cli._table(command, cfg, resolved)[0] == emitted
+    floats = [name for name, kind in table.columns if kind is float]
+    assert all(math.isfinite(row[name]) for row in rows(table) for name in floats if row[name] is not None)
     # one row over the bound: exit 2 with nothing written, --print-config too
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "MAX_POINTS", emitted - 1)

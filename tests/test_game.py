@@ -32,13 +32,13 @@ CFG = GameConfig()  # the default game, shared read-only
 
 
 def baseline(gamma, d, lens=DEFAULT_LENS):
-    return PlayerSpec(gamma, d, FairnessMode.baseline(), lens)
+    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.BASELINE), lens)
 
 def agent_tau(gamma, d, tau, lens=DEFAULT_LENS):
     return PlayerSpec(gamma, d, FairnessMode.agent_tau(tau), lens)
 
 def association(gamma, d, lens=DEFAULT_LENS):
-    return PlayerSpec(gamma, d, FairnessMode.association(), lens)
+    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.ASSOCIATION), lens)
 
 
 def _refuses(call, *args, **kwargs) -> bool:
@@ -272,9 +272,9 @@ LENSES = st.one_of(
     st.builds(PayoffLens, st.just(LensFamily.EXP_VALUE), st.floats(1.01, 10.0), st.floats(0.1, 50.0)),
 )
 MODES = st.one_of(
-    st.just(FairnessMode.baseline()),
+    st.just(FairnessMode(FairnessKind.BASELINE)),
     st.builds(FairnessMode.agent_tau, st.floats(0.0, 1.0)),
-    st.just(FairnessMode.association()),
+    st.just(FairnessMode(FairnessKind.ASSOCIATION)),
 )
 
 
@@ -440,9 +440,9 @@ class TestPlay:
 @settings(max_examples=60, deadline=None)
 def test_zero_sum_conservation(g1, d1, g2, d2, kind, tau):
     mode = {
-        "baseline": FairnessMode.baseline(),
+        "baseline": FairnessMode(FairnessKind.BASELINE),
         "agent_tau": FairnessMode.agent_tau(tau),
-        "association": FairnessMode.association(),
+        "association": FairnessMode(FairnessKind.ASSOCIATION),
     }[kind]
     recipient = PlayerSpec(g2, d2, mode, DEFAULT_LENS)
     outcome = play(baseline(g1, d1), recipient, GameConfig(grid_step=0.02))
@@ -478,9 +478,9 @@ def test_allocator_share_nondecreasing_in_distance_low_tau():
 @settings(max_examples=60, deadline=None)
 def test_oracle_equivalence_on_sampled_configs(gamma, d, kind, tau, lam, k):
     mode = {
-        "baseline": FairnessMode.baseline(),
+        "baseline": FairnessMode(FairnessKind.BASELINE),
         "agent_tau": FairnessMode.agent_tau(tau),
-        "association": FairnessMode.association(),
+        "association": FairnessMode(FairnessKind.ASSOCIATION),
     }[kind]
     lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)
     player = PlayerSpec(gamma, d, mode, lens)
@@ -521,7 +521,7 @@ def test_interior_argmax_matches_closed_form(gamma, frac, agent_tau_value, k, la
     if agent_tau_value is None:
         d = frac * math.log(2.0) / slope
         tau = 1.0 - gamma ** d
-        mode = FairnessMode.association()
+        mode = FairnessMode(FairnessKind.ASSOCIATION)
     else:
         tau = agent_tau_value
         d = frac * k * (1.0 - 2.0 * tau) / slope
@@ -533,6 +533,35 @@ def test_interior_argmax_matches_closed_form(gamma, frac, agent_tau_value, k, la
     cfg = GameConfig(grid_step=0.0001, tie_break=tie_break, tolerance=1e-14)
     share, _ = argmax(compile_player(player, cfg), cfg)
     assert abs(share - (1.0 + d * slope / k) / 2.0) <= cfg.grid_step + 1e-12
+
+
+@given(
+    gamma=st.floats(0.05, 0.95),
+    tau=st.floats(0.01, 0.49),
+    closeness=st.floats(1e-3, 0.5),
+    k=st.floats(2.0, 20.0),
+    lam=st.floats(1.2, 4.0),
+)
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
+def test_fairness_wins_past_the_rejection_distance(gamma, tau, closeness, k, lam):
+    # An agent_tau recipient offered o < tau judges its own share a loss and the
+    # partner's (1 - o - tau > 0) a gain, so it accepts exactly while
+    # gamma**d >= R = lambda(1 - e^{-k(tau-o)})/(1 - e^{-k(1-o-tau)}): up to
+    # d_rej = ln R / ln gamma when 0 < R < 1 (README "Model notes"). The offer
+    # is drawn near tau, where R is small.
+    offer = tau * (1.0 - closeness)
+    ratio = lam * (1.0 - math.exp(-k * (tau - offer))) / (1.0 - math.exp(-k * (1.0 - offer - tau)))
+    assume(0.0 < ratio < 1.0)
+    d_rej = math.log(ratio) / math.log(gamma)
+    assume(d_rej > 1e-3)
+    cfg = GameConfig(tolerance=1e-14)
+    lens = PayoffLens(loss_aversion=lam, steepness=k)
+
+    def accepts(d):
+        return accepts_offer(compile_player(agent_tau(gamma, d, tau, lens), cfg), cfg, offer)
+
+    assert accepts(d_rej - 1e-3)
+    assert not accepts(d_rej + 1e-3)
 
 
 def callers(name):
@@ -555,6 +584,6 @@ def callers(name):
 
 
 def test_a_player_becomes_a_utility_in_one_place():
-    # compile_lens is the kernel at w = 0; association_tau is 1 - gamma**d
-    assert callers("ug_kernel") == {("game", "compile_player"), ("payoff", "compile_lens")}
+    assert callers("ug_kernel") == {("game", "compile_player")}
+    # association_tau is 1 - gamma**d
     assert callers("weight") == {("game", "compile_player"), ("identity", "association_tau")}

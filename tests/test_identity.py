@@ -16,7 +16,7 @@ from transcend_ug.payoff import PayoffLens
 
 
 def player(gamma, d, mode=None):
-    return PlayerSpec(gamma, d, mode or FairnessMode.baseline(), PayoffLens())
+    return PlayerSpec(gamma, d, mode or FairnessMode(FairnessKind.BASELINE), PayoffLens())
 
 
 class TestPlayerSpec:
@@ -63,18 +63,18 @@ class TestFairnessMode:
             assert effective_tau(player(0.5, d, mode)) == 0.7
 
     def test_association_examples(self):
-        mode = FairnessMode.association()
+        mode = FairnessMode(FairnessKind.ASSOCIATION)
         assert effective_tau(player(0.5, 1.0, mode)) == 0.5
 
     @pytest.mark.parametrize("gamma, d", [(0.5, 1.0), (0.0, 0.0), (0.37, 2.4), (1.0, 0.7)])
     def test_association_threshold_is_one_formula(self, gamma, d):
         assert association_tau(gamma, d) == 1.0 - weight(gamma, d)
-        assert effective_tau(player(gamma, d, FairnessMode.association())) == association_tau(gamma, d)
+        assert effective_tau(player(gamma, d, FairnessMode(FairnessKind.ASSOCIATION))) == association_tau(gamma, d)
 
 
 @given(st.floats(0.01, 0.99), st.floats(0.0, 2.4), st.floats(0.01, 2.0))
 def test_association_tau_increasing_in_distance(gamma, d, delta):
-    mode = FairnessMode.association()
+    mode = FairnessMode(FairnessKind.ASSOCIATION)
     lo = effective_tau(player(gamma, d, mode))
     hi = effective_tau(player(gamma, d + delta, mode))
     assert 0.0 <= lo < hi <= 1.0
@@ -82,14 +82,14 @@ def test_association_tau_increasing_in_distance(gamma, d, delta):
 
 @given(st.floats(0.01, 0.98), st.floats(0.01, 0.5), st.floats(0.1, 2.4))
 def test_association_tau_decreasing_in_gamma(gamma, bump, d):
-    mode = FairnessMode.association()
+    mode = FairnessMode(FairnessKind.ASSOCIATION)
     assert effective_tau(player(gamma, d, mode)) > effective_tau(
         player(min(gamma + bump, 1.0), d, mode)
     )
 
 
 def test_association_tau_zero_at_zero_distance():
-    mode = FairnessMode.association()
+    mode = FairnessMode(FairnessKind.ASSOCIATION)
     for gamma in (0.0, 0.2, 0.5, 1.0):
         assert effective_tau(player(gamma, 0.0, mode)) == 0.0
 
@@ -97,7 +97,7 @@ def test_association_tau_zero_at_zero_distance():
 def test_association_growth_rate_steeper_for_lower_gamma():
     # near d=0 the slope is -ln(gamma), larger for smaller gamma
     d = 0.05
-    mode = FairnessMode.association()
+    mode = FairnessMode(FairnessKind.ASSOCIATION)
     rate = {
         g: effective_tau(player(g, d, mode)) / d for g in (0.2, 0.5, 0.8)
     }

@@ -1,11 +1,14 @@
+import contextlib
+import io
 import math
 import os
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_force_scan, oracle_fair_utility
+from conftest import brute_force_scan, oracle_fair_utility, rows as table_rows
 from transcend_ug import game, sweep
+from transcend_ug.cli import run
 from transcend_ug.game import (
     GameConfig,
     PlayerSpec,
@@ -17,7 +20,7 @@ from transcend_ug.game import (
     play,
     scan,
 )
-from transcend_ug.identity import FairnessKind, FairnessMode, IdentityError, association_tau
+from transcend_ug.identity import FairnessKind, FairnessMode, association_tau
 from transcend_ug.payoff import LensFamily, PayoffLens
 from transcend_ug.sweep import (
     ENVELOPE_MAX,
@@ -35,7 +38,21 @@ EXP8 = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
 
 
 def player(gamma=0.5, d=1.0, mode=None, lens=LENS):
-    return PlayerSpec(gamma, d, mode or FairnessMode.baseline(), lens)
+    return PlayerSpec(gamma, d, mode or FairnessMode(FairnessKind.BASELINE), lens)
+
+
+def refused(argv):
+    """The stderr of a CLI call that must exit 2 with nothing on stdout.
+
+    A sweep does not check its inputs: ``config.resolve`` refuses each bad
+    one first, naming its config key, so the tests of a bad sweep input
+    run the CLI.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = run(argv)
+    assert (rc, out.getvalue()) == (2, "")
+    return err.getvalue()
 
 
 class TestAxisValues:
@@ -87,7 +104,7 @@ class TestWithParam:
 
 class TestUtilityCurves:
     def test_baseline_gamma_family_markers(self):
-        rows = utility_curves(player(0.5, 1.0), GameConfig(), "gamma", [0.2, 0.5, 0.8, 1.0])
+        rows = table_rows(utility_curves(player(0.5, 1.0), GameConfig(), "gamma", [0.2, 0.5, 0.8, 1.0]))
         best = {
             r["curve_value"]: r["split"]
             for r in rows
@@ -97,7 +114,7 @@ class TestUtilityCurves:
 
     def test_half_tau_min_acceptable_marker_fixed(self):
         base = player(0.5, 0.0, FairnessMode.agent_tau(0.5), EXP8)
-        rows = utility_curves(base, GameConfig(), "d", axis_values(0.0, 2.4, 0.2))
+        rows = table_rows(utility_curves(base, GameConfig(), "d", axis_values(0.0, 2.4, 0.2)))
         markers = {
             r["curve_value"]: r["split"]
             for r in rows
@@ -107,13 +124,13 @@ class TestUtilityCurves:
         assert all(s == 0.5 for s in markers.values())
 
     def test_exactly_one_best_marker_per_curve(self):
-        rows = utility_curves(player(), GameConfig(), "d", [0.0, 1.0, 2.0])
+        rows = table_rows(utility_curves(player(), GameConfig(), "d", [0.0, 1.0, 2.0]))
         for value in (0.0, 1.0, 2.0):
             flags = [r["is_best_split"] for r in rows if r["curve_value"] == value]
             assert sum(flags) == 1
 
     def test_envelope_contains_every_curve(self):
-        rows = utility_curves(player(), GameConfig(grid_step=0.05), "d", [0.0, 0.5, 1.5])
+        rows = table_rows(utility_curves(player(), GameConfig(grid_step=0.05), "d", [0.0, 0.5, 1.5]))
         lo = {r["split"]: r["utility"] for r in rows if r["curve_param"] == ENVELOPE_MIN}
         hi = {r["split"]: r["utility"] for r in rows if r["curve_param"] == ENVELOPE_MAX}
         for r in rows:
@@ -124,7 +141,7 @@ class TestUtilityCurves:
     def test_best_marker_matches_fine_oracle(self):
         base = player(0.4, 0.0, FairnessMode.agent_tau(0.2), EXP8)
         cfg = GameConfig(grid_step=0.02)
-        rows = utility_curves(base, cfg, "d", [0.0, 1.0, 2.4])
+        rows = table_rows(utility_curves(base, cfg, "d", [0.0, 1.0, 2.4]))
         for d in (0.0, 1.0, 2.4):
             marked = [r["split"] for r in rows if r["curve_value"] == d and r["is_best_split"]]
             oracle_best, _ = brute_force_scan(
@@ -139,32 +156,32 @@ class TestUtilityCurves:
         fixed = [("d", 0.0), ("d", 1.0), (ENVELOPE_MIN, None), (ENVELOPE_MAX, None)]
         assert [cells for cells, _ in table.runs] == fixed
         assert all(varying[0] is cfg.splits() for _, varying in table.runs)
-        assert len(table) == 4 * len(cfg.splits())
+        assert len(table_rows(table)) == 4 * len(cfg.splits())
 
     def test_bad_curve_param(self):
-        with pytest.raises(SweepError):
-            utility_curves(player(), GameConfig(), "epsilon", [0.1])
+        assert "sweep.curve_param must be one of d, gamma, tau; got 'epsilon'" in refused(
+            ["utility-curves", "--curve-param", "epsilon"])
 
     def test_empty_curve_list_rejected(self):
-        with pytest.raises(SweepError, match="non-empty"):
-            utility_curves(player(), GameConfig(), "d", [])
+        # an empty sweep.curve_values means the parameter's default family: a list is empty only by its entries
+        assert "sweep.curve_values has an empty entry, got ','" in refused(["utility-curves", "--curve-values", ","])
 
 
 class TestAcceptanceMatrix:
     def test_moderate_tau_zero_distance_row(self):
         base = player(0.4, 0.0, FairnessMode.agent_tau(0.5))
-        rows = acceptance_matrix(base, GameConfig(), [0.0], axis_values(0.0, 1.0, 0.05))
+        rows = table_rows(acceptance_matrix(base, GameConfig(), [0.0], axis_values(0.0, 1.0, 0.05)))
         accepted = [r["split"] for r in rows if r["accepted"]]
         assert accepted == [0.5]
 
     def test_association_zero_distance_accepts_everything(self):
-        base = player(0.4, 0.0, FairnessMode.association())
-        rows = acceptance_matrix(base, GameConfig(), [1e-9], axis_values(0.0, 1.0, 0.05))
+        base = player(0.4, 0.0, FairnessMode(FairnessKind.ASSOCIATION))
+        rows = table_rows(acceptance_matrix(base, GameConfig(), [1e-9], axis_values(0.0, 1.0, 0.05)))
         assert all(r["accepted"] for r in rows)
 
     def test_rows_sorted_by_coordinates(self):
         base = player(0.4, 0.0, FairnessMode.agent_tau(0.2))
-        rows = acceptance_matrix(base, GameConfig(), [1.0, 0.0], [0.5, 0.0, 1.0])
+        rows = table_rows(acceptance_matrix(base, GameConfig(), [1.0, 0.0], [0.5, 0.0, 1.0]))
         coords = [(r["d"], r["split"]) for r in rows]
         assert coords == sorted(coords)
 
@@ -176,13 +193,14 @@ class TestAcceptanceMatrix:
         assert all(varying[0] is splits for _, varying in others)
 
     def test_empty_axis_rejected(self):
-        with pytest.raises(SweepError):
-            acceptance_matrix(player(), GameConfig(), [], [0.5])
+        # each axis is a step over a span, which must hold more than one point
+        assert "sweep.d_max must exceed sweep.d_min, got [0.0, 0.0]" in refused(["acceptance-matrix", "--d-max", "0"])
+        assert "sweep.split_step 2.0 is longer than the span" in refused(["acceptance-matrix", "--split-step", "2"])
 
     @pytest.mark.parametrize("split", [-0.1, 1.5, math.nan])
     def test_split_outside_unit_interval_rejected(self, split):
-        with pytest.raises(SweepError, match=r"offered split must lie in \[0,1\]"):
-            acceptance_matrix(player(), GameConfig(), [0.0, 1.0], [0.5, split])
+        # the offered splits are 0, step, ..., 1: a step that would put the second one outside [0,1] is refused
+        assert "ERROR sweep.split_step " in refused(["acceptance-matrix", f"--split-step={split!r}"])
 
     def test_one_compile_per_distance(self, monkeypatch):
         calls, compile_player = [], game.compile_player
@@ -193,23 +211,23 @@ class TestAcceptanceMatrix:
 
         monkeypatch.setattr(sweep, "compile_player", counted_compile)
         ds = axis_values(0.0, 2.4, 0.2)
-        rows = acceptance_matrix(player(0.4, 1.0, FairnessMode.association()), GameConfig(), ds,
-                                 axis_values(0.0, 1.0, 0.05))
+        rows = table_rows(acceptance_matrix(player(0.4, 1.0, FairnessMode(FairnessKind.ASSOCIATION)), GameConfig(),
+                                            ds, axis_values(0.0, 1.0, 0.05)))
         assert len(rows) == len(ds) * 21
         assert len(calls) == len(ds)
 
 
 class TestTauCurves:
     def test_spot_values(self):
-        rows = tau_curves([0.5], [0.0, 1.0, 2.0])
+        rows = table_rows(tau_curves([0.5], [0.0, 1.0, 2.0]))
         assert [r["tau"] for r in rows] == [0.0, 0.5, 0.75]
 
     def test_full_identification_flatlines(self):
-        rows = tau_curves([1.0], axis_values(0.0, 2.4, 0.2))
+        rows = table_rows(tau_curves([1.0], axis_values(0.0, 2.4, 0.2)))
         assert all(r["tau"] == 0.0 for r in rows)
 
     def test_threshold_is_the_association_tau(self):
-        rows = tau_curves([0.2, 0.45], axis_values(0.0, 2.4, 0.2))
+        rows = table_rows(tau_curves([0.2, 0.45], axis_values(0.0, 2.4, 0.2)))
         assert all(r["tau"] == association_tau(r["gamma"], r["d"]) for r in rows)
 
     def test_one_run_per_gamma_sharing_one_distance_column(self):
@@ -220,25 +238,25 @@ class TestTauCurves:
         assert all(varying[0] is ds for _, varying in others)
 
     def test_lower_gamma_dominates(self):
-        rows = tau_curves([0.2, 0.8], axis_values(0.0, 2.4, 0.2))
+        rows = table_rows(tau_curves([0.2, 0.8], axis_values(0.0, 2.4, 0.2)))
         low = [r["tau"] for r in rows if r["gamma"] == 0.2]
         high = [r["tau"] for r in rows if r["gamma"] == 0.8]
         assert all(a >= b for a, b in zip(low, high))
 
 
     @pytest.mark.parametrize(
-        "gammas, d_values, match",
-        [([0.5, math.nan], [1.0], r"gamma must lie in \[0,1\], got nan"),
-         ([1.5], [1.0], r"gamma must lie in \[0,1\], got 1.5"),
-         ([-0.1], [1.0], r"gamma must lie in \[0,1\], got -0.1"),
-         ([0.5], [math.nan], "d must be finite and >= 0, got nan"),
-         ([0.5], [math.inf], "d must be finite and >= 0, got inf"),
-         ([0.5], [-1.0], "d must be finite and >= 0, got -1.0")],
+        "argv, message",
+        [(["--gamma", "0.5,nan"], "sweep.gammas must hold finite numbers, got '0.5,nan'"),
+         (["--gamma", "1.5"], "sweep.gammas must lie in [0,1], got 1.5"),
+         (["--gamma", "-0.1"], "sweep.gammas must lie in [0,1], got -0.1"),
+         (["--d-min", "nan"], "sweep.d_min must be finite, got nan"),
+         (["--d-max", "inf"], "sweep.d_max must be finite, got inf"),
+         (["--d-min", "-1"], "sweep.d_min must be finite and >= 0, got -1.0")],
         ids=[f"gammas{i}-d_values{i}" for i in range(6)],
     )
-    def test_bad_axis_values_rejected(self, gammas, d_values, match):
-        with pytest.raises(IdentityError, match=match):
-            tau_curves(gammas, d_values)
+    def test_bad_axis_values_rejected(self, argv, message):
+        # each gamma and distance is checked as PlayerSpec checks a player's
+        assert message in refused(["tau-curves", *argv])
 
 
 GRIDS = [
@@ -252,66 +270,65 @@ GRIDS = [
 
 class TestGameGrid:
     def test_dual_baseline_grid(self):
-        rows = game_grid(
+        rows = table_rows(game_grid(
             player(), player(), GameConfig(),
             ("allocator.gamma", [0.2, 0.5, 0.8]),
             ("recipient.gamma", [0.2, 0.5, 0.8]),
-        )
+        ))
         assert len(rows) == 9
         assert all(r["proposed_split"] == 1.0 and r["accepted"] for r in rows)
 
     def test_demanding_recipient_rejects(self):
         recipient = player(0.4, 1.0, FairnessMode.agent_tau(0.9))
-        rows = game_grid(
+        rows = table_rows(game_grid(
             player(0.2, 1.0), recipient, GameConfig(),
             ("allocator.gamma", [0.2]),
             ("recipient.d", [1.0]),
-        )
-        assert list(rows) == [
+        ))
+        assert rows == [
             {"axis1": 0.2, "axis2": 1.0, "proposed_split": 1.0, "accepted": 0}
         ]
 
     def test_identical_axes_rejected(self):
-        with pytest.raises(SweepError):
-            game_grid(player(), player(), GameConfig(),
-                      ("allocator.gamma", [0.5]), ("allocator.gamma", [0.6]))
+        assert "sweep.axis2 must differ from sweep.axis1, both are allocator.gamma" in refused(
+            ["game-grid", "--axis1", "allocator.gamma", "--axis2", "allocator.gamma"])
 
     def test_unknown_role_rejected(self):
-        with pytest.raises(SweepError):
-            game_grid(player(), player(), GameConfig(),
-                      ("referee.gamma", [0.5]), ("recipient.gamma", [0.6]))
+        assert "sweep.axis1 must be one of allocator.gamma, " in refused(["game-grid", "--axis1", "referee.gamma"])
 
     @pytest.mark.parametrize("values1, values2", [([], [0.5]), ([0.5], [])])
     def test_empty_axis_rejected(self, values1, values2):
-        with pytest.raises(SweepError, match="non-empty"):
-            game_grid(player(), player(), GameConfig(),
-                      ("allocator.gamma", values1), ("recipient.gamma", values2))
+        empty = 1 if not values1 else 2
+        assert f"sweep.axis{empty}_values must hold at least one value, got ''" in refused(
+            ["game-grid", f"--axis1-values={','.join(map(repr, values1))}",
+             f"--axis2-values={','.join(map(repr, values2))}"])
 
     @pytest.mark.parametrize("position", [1, 2])
     @pytest.mark.parametrize(
-        "bad_axis, error, match",
-        [(("allocator.gamma", [0.5, 1.5]), IdentityError, r"gamma must lie in \[0,1\], got 1.5"),
-         (("allocator.tau", [0.2, 0.4]), SweepError, "requires agent_tau"),
-         (("recipient.d", [0.1, math.inf]), IdentityError, "d must be finite and >= 0, got inf")],
+        "bad_axis, message",
+        [(("allocator.gamma", "0.5,1.5"), "sweep.axis{n}_values must lie in [0,1], got 1.5"),
+         (("allocator.tau", "0.2,0.4"), "sweep.axis{n} requires agent_tau fairness mode, got baseline"),
+         (("recipient.d", "0.1,inf"), "sweep.axis{n}_values must hold finite numbers, got '0.1,inf'")],
         ids=["gamma-out-of-range", "tau-axis-without-agent-tau", "distance-not-finite"],
     )
-    def test_bad_axis_raises_before_any_fork(self, monkeypatch, position, bad_axis, error, match):
-        """A bad axis raises its own error as either axis, before a second worker is forked."""
+    def test_bad_axis_raises_before_any_fork(self, monkeypatch, position, bad_axis, message):
+        """A bad axis is refused as either axis, naming its config key, before a second worker is forked."""
         def no_fork():
             raise AssertionError("forked before the axes were checked")
 
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 2)
         monkeypatch.setattr(os, "fork", no_fork, raising=False)
-        other = ("recipient.gamma", [0.1, 0.2])
+        other = ("recipient.gamma", "0.1,0.2")
         axes = (bad_axis, other) if position == 1 else (other, bad_axis)
-        with pytest.raises(error, match=match):
-            game_grid(player(), player(), GameConfig(), *axes)
+        argv = ["game-grid"] + [f"--axis{n}{suffix}={text}" for n, axis in enumerate(axes, 1)
+                                for suffix, text in zip(("", "-values"), axis)]
+        assert message.format(n=position) in refused(argv)
 
     @pytest.mark.parametrize("name1, values1, name2, values2", GRIDS)
     def test_one_scan_per_cell(self, monkeypatch, name1, values1, name2, values2):
         """Every cell is one full game, whichever roles the axes vary."""
         allocator = player(0.4, 1.0, FairnessMode.agent_tau(0.2), EXP8)
-        recipient = player(0.6, 0.5, FairnessMode.association())
+        recipient = player(0.6, 0.5, FairnessMode(FairnessKind.ASSOCIATION))
         cfg = GameConfig(grid_step=0.02)
         # Scans in a forked child are not seen here, so play every row in this process.
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
@@ -322,7 +339,7 @@ class TestGameGrid:
             return argmax(*args, **kwargs)
 
         monkeypatch.setattr(game, "argmax", counted_argmax)
-        rows = game_grid(allocator, recipient, cfg, (name1, values1), (name2, values2))
+        rows = table_rows(game_grid(allocator, recipient, cfg, (name1, values1), (name2, values2)))
         assert len(rows) == len(values1) * len(values2)
         assert len(calls) == len(rows)
         specs = {"allocator": allocator, "recipient": recipient}
@@ -339,7 +356,7 @@ class TestGameGrid:
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are played in forked children")
 class TestGameGridWorkers:
     ALLOCATOR = player(0.4, 1.0, FairnessMode.agent_tau(0.2), EXP8)
-    RECIPIENT = player(0.6, 0.5, FairnessMode.association())
+    RECIPIENT = player(0.6, 0.5, FairnessMode(FairnessKind.ASSOCIATION))
     CFG = GameConfig(grid_step=0.02)
 
     def grid(self, monkeypatch, workers, axes=GRIDS[0]):
@@ -354,7 +371,7 @@ class TestGameGridWorkers:
 
     @pytest.mark.parametrize("axes", GRIDS)
     def test_same_rows_with_one_and_two_workers(self, monkeypatch, axes):
-        assert self.grid(monkeypatch, 2, axes) == self.grid(monkeypatch, 1, axes)
+        assert table_rows(self.grid(monkeypatch, 2, axes)) == table_rows(self.grid(monkeypatch, 1, axes))
         self.assert_no_child_left()
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -368,7 +385,7 @@ class TestGameGridWorkers:
         self.assert_no_child_left()
 
     def test_more_workers_than_rows(self, monkeypatch):
-        assert self.grid(monkeypatch, 8) == self.grid(monkeypatch, 1)
+        assert table_rows(self.grid(monkeypatch, 8)) == table_rows(self.grid(monkeypatch, 1))
         self.assert_no_child_left()
 
     def test_interrupt_here_kills_and_reaps_children(self, monkeypatch):
@@ -412,8 +429,8 @@ class TestGameGridWorkers:
 
 
 MODES = st.one_of(
-    st.just(FairnessMode.baseline()),
-    st.just(FairnessMode.association()),
+    st.just(FairnessMode(FairnessKind.BASELINE)),
+    st.just(FairnessMode(FairnessKind.ASSOCIATION)),
     st.floats(0.0, 1.0).map(FairnessMode.agent_tau),
 )
 SHARES = st.floats(0.0, 1.0)
@@ -460,7 +477,7 @@ def test_sweeps_agree_with_engine(
     split_cfg = GameConfig(
         grid_step=split_step, accept_threshold=threshold, tie_break=tie_break, own_tau_zero=own_tau_zero
     )
-    rows = utility_curves(allocator, split_cfg, "d", ds)
+    rows = table_rows(utility_curves(allocator, split_cfg, "d", ds))
     for d in ds:
         utility = compile_player(with_param(allocator, "d", d), split_cfg)
         curve = [r for r in rows if r["curve_param"] == "d" and r["curve_value"] == d]
@@ -475,7 +492,7 @@ def test_sweeps_agree_with_engine(
             [] if found is None else [found]
         )
 
-    for cell in acceptance_matrix(recipient, cfg, ds, offers):
+    for cell in table_rows(acceptance_matrix(recipient, cfg, ds, offers)):
         utility = compile_player(with_param(recipient, "d", cell["d"]), cfg)
         assert cell["accepted"] == int(accepts_offer(utility, cfg, cell["split"]))
 
@@ -488,7 +505,7 @@ def test_sweeps_agree_with_engine(
             specs[role] = PlayerSpec(spec.gamma, spec.d, FairnessMode.agent_tau(0.5), spec.lens)
     values = {"gamma": gammas, "d": ds, "tau": taus}
     values1, values2 = (values[name.partition(".")[2]] for name in axes)
-    cells = game_grid(specs["allocator"], specs["recipient"], cfg, (axes[0], values1), (axes[1], values2))
+    cells = table_rows(game_grid(specs["allocator"], specs["recipient"], cfg, (axes[0], values1), (axes[1], values2)))
     assert [(c["axis1"], c["axis2"]) for c in cells] == [(v1, v2) for v1 in sorted(values1) for v2 in sorted(values2)]
     for cell in cells:
         players = dict(specs)
