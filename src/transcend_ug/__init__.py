@@ -1,12 +1,12 @@
 """Deterministic Ultimatum Game simulator for transcended agents with fairness thresholds."""
 
 from .game import GameConfig, Outcome, PlayerSpec, TieBreak, accepts_offer, argmax, compile_player, play, scan
-from .identity import FairnessKind, FairnessMode, effective_tau
-from .payoff import LensFamily, PayoffLens
+from .identity import FairnessKind, effective_tau
+from .payoff import ConfigError, LensFamily, PayoffLens
 
 __all__ = [
+    "ConfigError",
     "FairnessKind",
-    "FairnessMode",
     "GameConfig",
     "LensFamily",
     "Outcome",

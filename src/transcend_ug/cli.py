@@ -19,13 +19,9 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from . import sweep as sweep_mod
-from .config import PARAMS, ConfigFileError, Resolved, RunConfig, dump_config, load_config, parse_value, resolve
+from .config import PARAMS, Resolved, RunConfig, dump_config, load_config, parse_value, resolve
 from .game import MAX_POINTS, ConfigError, axis_values, check_offer, play
-from .identity import IdentityError
-from .payoff import LensConfigError
 from .sweep import Table
-
-_CONFIG_ERRORS = (ConfigFileError, ConfigError, LensConfigError, IdentityError)
 
 
 def _rounded(record: dict[str, object]) -> dict[str, object]:
@@ -147,7 +143,7 @@ def _effective_config(args: argparse.Namespace) -> tuple[RunConfig, Resolved, Ca
         return cfg, resolved, None
     rows, fields, build = _table(args.command, cfg, resolved)
     if rows > MAX_POINTS:
-        raise ConfigFileError(
+        raise ConfigError(
             f"{args.command} would emit {rows} rows ({fields}), more than the limit of {MAX_POINTS}")
     return cfg, resolved, build
 
@@ -233,7 +229,7 @@ def run(argv: Sequence[str] | None = None) -> int:
             chunks = _render(build(), cfg["output.format"])  # the table is built before the first chunk is written
         _write_output(chunks, cfg["output.path"])
         return 0
-    except _CONFIG_ERRORS as exc:
+    except ConfigError as exc:
         sys.stderr.write(f"ERROR {exc}\n")
         return 2
     except Exception as exc:  # runtime failure

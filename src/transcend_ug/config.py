@@ -26,13 +26,9 @@ from collections import namedtuple
 from contextlib import contextmanager
 
 from .game import ConfigError, GameConfig, TieBreak, axis_points
-from .identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
-from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensConfigError, LensFamily, PayoffLens
+from .identity import FairnessKind, PlayerSpec
+from .payoff import DEFAULT_LOSS_AVERSION, DEFAULT_STEEPNESS, LensFamily, PayoffLens
 from .sweep import with_param
-
-
-class ConfigFileError(ValueError):
-    """Raised on unreadable, malformed, or invalid configuration."""
 
 
 Param = namedtuple("Param", "path section key flag type default choices help")
@@ -102,11 +98,11 @@ def parse_value(p: Param, raw: str):
         try:
             return float(raw)
         except ValueError:
-            raise ConfigFileError(f"{p.path} must be a number, got {raw!r}")
+            raise ConfigError(f"{p.path} must be a number, got {raw!r}")
     if p.type is bool:
         value = configparser.ConfigParser.BOOLEAN_STATES.get(raw.strip().lower())
         if value is None:
-            raise ConfigFileError(f"{p.path} must be a boolean, got {raw!r}")
+            raise ConfigError(f"{p.path} must be a boolean, got {raw!r}")
         return value
     return raw
 
@@ -120,9 +116,9 @@ def _named(section: str, key: str | None = None):
     """
     try:
         yield
-    except (ConfigError, IdentityError, LensConfigError) as exc:
+    except ConfigError as exc:
         name, _, rest = str(exc).partition(" ")
-        raise ConfigFileError(f"{section}.{key or _DOMAIN_KEYS.get(name, name)} {rest}") from None
+        raise ConfigError(f"{section}.{key or _DOMAIN_KEYS.get(name, name)} {rest}") from None
 
 
 Resolved = namedtuple("Resolved", "game allocator recipient lists d_points split_points")
@@ -139,12 +135,12 @@ def resolve(cfg: RunConfig) -> Resolved:
     for p in PARAMS:
         value = cfg[p.path]
         if p.type is float and not math.isfinite(value):
-            raise ConfigFileError(f"{p.path} must be finite, got {value}")
+            raise ConfigError(f"{p.path} must be finite, got {value}")
         if p.choices and value not in p.choices:
-            raise ConfigFileError(f"{p.path} must be one of {', '.join(p.choices)}; got {value!r}")
+            raise ConfigError(f"{p.path} must be one of {', '.join(p.choices)}; got {value!r}")
     axis1, axis2, curve_param = cfg["sweep.axis1"], cfg["sweep.axis2"], cfg["sweep.curve_param"]
     if axis1 == axis2:
-        raise ConfigFileError(f"sweep.axis2 must differ from sweep.axis1, both are {axis1}")
+        raise ConfigError(f"sweep.axis2 must differ from sweep.axis1, both are {axis1}")
     with _named("game"):
         game = GameConfig(**dict({p.key: cfg[p.path] for p in PARAMS if p.section == "game"},
                                  tie_break=TieBreak(cfg["game.tie_break"])))
@@ -154,15 +150,13 @@ def resolve(cfg: RunConfig) -> Resolved:
     players = {}
     for role in ("allocator", "recipient"):
         agent = f"agent.{role}"
-        with _named(agent):
-            kind = FairnessKind(cfg[f"{agent}.fairness_mode"])
-            mode = FairnessMode.agent_tau(cfg[f"{agent}.tau"])  # range-checked in every mode, not only where consulted
+        with _named(agent):  # tau is range-checked in every mode, not only where consulted
             players[role] = PlayerSpec(cfg[f"{agent}.gamma"], cfg[f"{agent}.distance"],
-                                       mode if kind is mode.kind else FairnessMode(kind), lens)
+                                       FairnessKind(cfg[f"{agent}.fairness_mode"]), cfg[f"{agent}.tau"], lens)
     # Each sweep entry sets one player parameter and is range-checked here as
     # that parameter, in every mode. The probe is an agent_tau player, so that
     # a tau entry is range-checked whatever the mode of the player it varies.
-    probe = PlayerSpec(0.0, 0.0, FairnessMode.agent_tau(0.0), lens)
+    probe = PlayerSpec(0.0, 0.0, FairnessKind.AGENT_TAU, 0.0, lens)
     with _named("sweep", "d_min"):
         with_param(probe, "d", cfg["sweep.d_min"])
     # game.axis_points counts each step-built axis, checked by the rule that builds it
@@ -179,7 +173,7 @@ def resolve(cfg: RunConfig) -> Resolved:
             for value in lists[name]:
                 with_param(probe, param, value)
         if not lists[name] and name != "curve_values":
-            raise ConfigFileError(f"sweep.{name} must hold at least one value, got {raw!r}")
+            raise ConfigError(f"sweep.{name} must hold at least one value, got {raw!r}")
     # a tau that a sweep varies needs its player in agent_tau mode; the curves vary the allocator
     for key, axis in (("curve_param", f"allocator.{curve_param}"), ("axis1", axis1), ("axis2", axis2)):
         role, _, param = axis.partition(".")
@@ -193,13 +187,13 @@ def parse_value_list(raw: str, path: str) -> list[float]:
     """The numbers of a comma list: blank text is no number, and a blank entry in a list is a missing one."""
     tokens = raw.split(",") if raw.strip() else []
     if not all(map(str.strip, tokens)):
-        raise ConfigFileError(f"{path} has an empty entry, got {raw!r}")
+        raise ConfigError(f"{path} has an empty entry, got {raw!r}")
     try:
         values = list(map(float, tokens))
     except ValueError:
-        raise ConfigFileError(f"{path} must be a comma-separated list of numbers, got {raw!r}")
+        raise ConfigError(f"{path} must be a comma-separated list of numbers, got {raw!r}")
     if not all(map(math.isfinite, values)):
-        raise ConfigFileError(f"{path} must hold finite numbers, got {raw!r}")
+        raise ConfigError(f"{path} must hold finite numbers, got {raw!r}")
     return values
 
 
@@ -209,15 +203,15 @@ def loads_config(text: str, source: str = "<config>") -> RunConfig:
     try:
         parser.read_string(text, source=source)
     except configparser.Error as exc:
-        raise ConfigFileError(f"parse error in {source}: {exc}")
+        raise ConfigError(f"parse error in {source}: {exc}")
     cfg = RunConfig()
     for section in parser.sections():
         if section not in _SECTIONS:
-            raise ConfigFileError(f"unknown section [{section}] in {source}")
+            raise ConfigError(f"unknown section [{section}] in {source}")
         for key, raw in parser.items(section):
             p = _BY_PATH.get(f"{section}.{key}")
             if p is None:
-                raise ConfigFileError(f"unknown key {section}.{key} in {source}")
+                raise ConfigError(f"unknown key {section}.{key} in {source}")
             cfg[p.path] = parse_value(p, raw)
     return cfg
 
@@ -227,7 +221,7 @@ def load_config(path: str) -> RunConfig:
         with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark, if any, is not text
             text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigFileError(f"cannot read config {path}: {exc}")
+        raise ConfigError(f"cannot read config {path}: {exc}")
     return loads_config(text, source=path)
 
 

@@ -15,7 +15,7 @@ from functools import cached_property
 from operator import itemgetter
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
-from .payoff import Utility, ValueObject, ug_kernel
+from .payoff import ConfigError, Utility, ValueObject, ug_kernel
 
 # Relative slack within which a step counts as dividing a span evenly. It
 # is fixed: the tie tolerance must not decide which grids exist.
@@ -44,31 +44,23 @@ class TieBreak(enum.Enum):
     HIGHEST_OWN_SHARE = "highest_own_share"
 
 
-class ConfigError(ValueError):
-    """Raised on invalid game configuration."""
-
-
-class SweepError(ConfigError):
-    """Raised on a malformed step-built axis or sweep."""
-
-
 def axis_points(lo: float, hi: float, step: float, name: str = "step") -> int:
     """Points of ``axis_values(lo, hi, step, name)``, counted, not built: the one rule of every step-built axis."""
     if not all(map(math.isfinite, (lo, hi, step))):
-        raise SweepError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
+        raise ConfigError(f"axis bounds and step must be finite, got [{lo}, {hi}] step {step}")
     axis = name.rpartition("step")[0]  # the bounds of step "sweep.d_step" are "sweep.d_min" and "sweep.d_max"
     if not hi > lo:
-        raise SweepError(f"{axis}max must exceed {axis}min, got [{lo}, {hi}]")
+        raise ConfigError(f"{axis}max must exceed {axis}min, got [{lo}, {hi}]")
     if not step > 0.0:
-        raise SweepError(f"{name} must be > 0, got {step}")
+        raise ConfigError(f"{name} must be > 0, got {step}")
     span = (hi - lo) / step
     if span + 1.0 > MAX_POINTS:
-        raise SweepError(f"{name} {step} gives {span + 1.0:.0f} points, more than the limit of {MAX_POINTS}")
+        raise ConfigError(f"{name} {step} gives {span + 1.0:.0f} points, more than the limit of {MAX_POINTS}")
     n = round(span)
     if n == 0:
-        raise SweepError(f"{name} {step} is longer than the span [{lo}, {hi}]")
+        raise ConfigError(f"{name} {step} is longer than the span [{lo}, {hi}]")
     if abs(span - n) > STEP_SLACK * max(1, n):
-        raise SweepError(f"{name} {step} does not divide the span [{lo}, {hi}] evenly")
+        raise ConfigError(f"{name} {step} does not divide the span [{lo}, {hi}] evenly")
     return n + 1
 
 
@@ -172,7 +164,7 @@ def compile_player(player: PlayerSpec, cfg: GameConfig) -> Utility:
     scans evaluate only the formula.
     """
     w = weight(player.gamma, player.d)
-    kind = player.mode.kind
+    kind = player.kind
     if kind is FairnessKind.BASELINE:
         return ug_kernel(w)
     tau = effective_tau(player)
@@ -180,15 +172,13 @@ def compile_player(player: PlayerSpec, cfg: GameConfig) -> Utility:
     return ug_kernel(w, player.lens, tau, own_tau)
 
 
-def _break_ties(candidates: list[float], rule: TieBreak) -> float:
-    if rule is TieBreak.LOWEST_OWN_SHARE:
+def _break_ties(candidates: list[float], cfg: GameConfig) -> float:
+    if cfg.tie_break is TieBreak.LOWEST_OWN_SHARE:
         return min(candidates)
-    if rule is TieBreak.HIGHEST_OWN_SHARE:
+    if cfg.tie_break is TieBreak.HIGHEST_OWN_SHARE:
         return max(candidates)
-    # Mirror shares s and 1 - s can lie an ulp apart in distance from 0.5;
-    # count them as equally close so the lower share wins, as the rule says.
-    nearest = min(abs(s - 0.5) for s in candidates)
-    return min(s for s in candidates if abs(s - 0.5) <= nearest + 1e-12)
+    n = cfg.grid_cells  # closest to equal in whole cells, so mirror shares s and 1 - s tie and the lower wins
+    return min(candidates, key=lambda s: (abs(2 * round(s * n) - n), s))
 
 
 Scan = namedtuple("Scan", "utilities top best min_acceptable")
@@ -208,7 +198,7 @@ def scan(utility: Utility, cfg: GameConfig) -> Scan:
     top = max(utilities)
     min_acc = next((s for s, u in zip(grid, utilities) if cfg.clears(u)), None)
     cut = top - cfg.tolerance
-    best = _break_ties([s for s, u in zip(grid, utilities) if u >= cut], cfg.tie_break)
+    best = _break_ties([s for s, u in zip(grid, utilities) if u >= cut], cfg)
     return Scan(utilities, top, best, min_acc)
 
 
@@ -238,7 +228,7 @@ def argmax(utility: Utility, cfg: GameConfig) -> tuple[float, float]:
     # a tie lies only in a block whose own top is within the tie window
     cut = top - cfg.tolerance
     ties = [s for peak, shares, utilities in evaluated if peak >= cut for s, u in zip(shares, utilities) if u >= cut]
-    return _break_ties(ties, cfg.tie_break), top
+    return _break_ties(ties, cfg), top
 
 
 def accepts_offer(utility: Utility, cfg: GameConfig, offered: float) -> bool:

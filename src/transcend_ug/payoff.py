@@ -19,10 +19,6 @@ class LensFamily(enum.Enum):
     EXP_VALUE = "exp_value"
 
 
-class LensConfigError(ValueError):
-    """Raised when lens parameters violate their constraints."""
-
-
 # Defaults calibrated so that, with a fairness threshold of 0.2 and full
 # identification (d=0), the accepted offers at 0.05 resolution are exactly
 # those where both players get at least 0.2. k=16 gives the loss branch
@@ -34,6 +30,10 @@ DEFAULT_LOSS_AVERSION = 2.0
 # Each lens term lies in [-lambda, 1] and a partner weight in [0, 1], so at
 # this bound the kernel's numerator f(own) + w*f(partner) stays finite.
 MAX_LOSS_AVERSION = sys.float_info.max / 2
+
+
+class ConfigError(ValueError):
+    """Raised on any invalid configuration: a config file, a flag, a game, a player, a lens or an axis."""
 
 
 class ValueObject:
@@ -69,15 +69,15 @@ class PayoffLens(ValueObject):
         self.family, self.loss_aversion, self.steepness = family, loss_aversion, steepness
         if self.family is LensFamily.EXP_VALUE:
             if not (math.isfinite(self.loss_aversion) and self.loss_aversion > 1.0):
-                raise LensConfigError(
+                raise ConfigError(
                     f"loss_aversion must be finite and > 1 for exp_value lens, got {self.loss_aversion}"
                 )
             if self.loss_aversion > MAX_LOSS_AVERSION:
-                raise LensConfigError(
+                raise ConfigError(
                     f"loss_aversion must be at most {MAX_LOSS_AVERSION} for exp_value lens, got {self.loss_aversion}"
                 )
             if not (math.isfinite(self.steepness) and self.steepness > 0.0):
-                raise LensConfigError(
+                raise ConfigError(
                     f"steepness must be finite and > 0 for exp_value lens, got {self.steepness}"
                 )
 

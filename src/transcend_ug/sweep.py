@@ -12,8 +12,8 @@ import marshal
 import os
 from collections.abc import Callable, Sequence
 
-from .game import GameConfig, SweepError, accepts_offer, compile_player, play, scan
-from .identity import FairnessKind, FairnessMode, PlayerSpec, association_tau
+from .game import ConfigError, GameConfig, accepts_offer, compile_player, play, scan
+from .identity import FairnessKind, PlayerSpec, association_tau
 
 ENVELOPE_MIN = "envelope_min"
 ENVELOPE_MAX = "envelope_max"
@@ -42,14 +42,14 @@ class Table:
 def with_param(spec: PlayerSpec, name: str, value: float) -> PlayerSpec:
     """Copy of a player spec with one of {gamma, d, tau} replaced."""
     if name == "gamma":
-        return PlayerSpec(value, spec.d, spec.mode, spec.lens)
+        return PlayerSpec(value, spec.d, spec.kind, spec.tau, spec.lens)
     if name == "d":
-        return PlayerSpec(spec.gamma, value, spec.mode, spec.lens)
+        return PlayerSpec(spec.gamma, value, spec.kind, spec.tau, spec.lens)
     if name == "tau":
-        if spec.mode.kind is not FairnessKind.AGENT_TAU:
-            raise SweepError(f"tau requires agent_tau fairness mode, got {spec.mode.kind.value}")
-        return PlayerSpec(spec.gamma, spec.d, FairnessMode.agent_tau(value), spec.lens)
-    raise SweepError(f"unknown player parameter {name!r}")
+        if spec.kind is not FairnessKind.AGENT_TAU:
+            raise ConfigError(f"tau requires agent_tau fairness mode, got {spec.kind.value}")
+        return PlayerSpec(spec.gamma, spec.d, spec.kind, value, spec.lens)
+    raise ConfigError(f"unknown player parameter {name!r}")
 
 
 UTILITY_CURVES_COLUMNS: Columns = (

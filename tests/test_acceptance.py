@@ -14,7 +14,7 @@ import pytest
 from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility, rows
 from transcend_ug.cli import run
 from transcend_ug.game import GameConfig, PlayerSpec, accepts_offer, argmax, axis_values, compile_player, scan
-from transcend_ug.identity import FairnessKind, FairnessMode
+from transcend_ug.identity import FairnessKind
 from transcend_ug.payoff import LensFamily, PayoffLens
 from transcend_ug.sweep import acceptance_matrix, tau_curves
 
@@ -26,15 +26,15 @@ SPLITS_05 = axis_values(0.0, 1.0, 0.05)
 
 
 def baseline(gamma, d):
-    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.BASELINE), LENS)
+    return PlayerSpec(gamma, d, FairnessKind.BASELINE, 0.0, LENS)
 
 
 def agent_tau(gamma, d, tau):
-    return PlayerSpec(gamma, d, FairnessMode.agent_tau(tau), LENS)
+    return PlayerSpec(gamma, d, FairnessKind.AGENT_TAU, tau, LENS)
 
 
 def association(gamma, d):
-    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.ASSOCIATION), LENS)
+    return PlayerSpec(gamma, d, FairnessKind.ASSOCIATION, 0.0, LENS)
 
 
 def matrix_row(player_gamma, tau, d):
@@ -151,10 +151,9 @@ def test_criterion_04_full_share_by_d_2_4_conflicts_with_criterion_06():
     assert full_share_distance(LENS, gamma, tau) > 2.4
 
     spots = [(i, j) for i in range(0, n, 11) for j in range(0, n, 11)]
-    mode = FairnessMode.agent_tau(tau)
     for ij in spots:
-        recipient = PlayerSpec(gamma, 0.0, mode, lenses[ij])
-        allocator = PlayerSpec(gamma, 2.4, mode, lenses[ij])
+        recipient = PlayerSpec(gamma, 0.0, FairnessKind.AGENT_TAU, tau, lenses[ij])
+        allocator = PlayerSpec(gamma, 2.4, FairnessKind.AGENT_TAU, tau, lenses[ij])
         assert accepts_offer(compile_player(recipient, GRID), GRID, 0.15) is not (ij in calibrated)
         assert (argmax(compile_player(allocator, GRID), GRID)[0] == 1.0) is (ij in saturated)
     # the spot checks see both outcomes of each closed form
@@ -243,17 +242,14 @@ def test_criterion_11_oracle_equivalence():
         k = rng.uniform(2.0, 20.0)
         lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)
         if kind == "baseline":
-            mode = FairnessMode(FairnessKind.BASELINE)
             oracle_u = lambda s: oracle_baseline_utility(gamma, d, s)
         else:
             if kind == "agent_tau":
-                mode = FairnessMode.agent_tau(tau)
                 t = tau
             else:
-                mode = FairnessMode(FairnessKind.ASSOCIATION)
                 t = 1.0 - (1.0 if d == 0 else gamma ** d)
             oracle_u = lambda s, t=t: oracle_fair_utility(gamma, d, t, k, lam, s)
-        player = PlayerSpec(gamma, d, mode, lens)
+        player = PlayerSpec(gamma, d, FairnessKind(kind), tau, lens)
         fine_best, fine_min = brute_force_scan(oracle_u, cells=cfg.grid_cells * 10)
         assert abs(argmax(compile_player(player, cfg), cfg)[0] - fine_best) <= cfg.grid_step + 1e-12
         found = scan(compile_player(player, cfg), cfg).min_acceptable
@@ -273,8 +269,8 @@ def test_criterion_12_linear_reduction_identity():
         gamma = gi / 9
         for di in range(10):
             d = 2.4 * di / 9
-            fair = compile_player(PlayerSpec(gamma, d, FairnessMode.agent_tau(0.0), linear), GRID)
-            plain = compile_player(PlayerSpec(gamma, d, FairnessMode(FairnessKind.BASELINE), linear), GRID)
+            fair = compile_player(PlayerSpec(gamma, d, FairnessKind.AGENT_TAU, 0.0, linear), GRID)
+            plain = compile_player(PlayerSpec(gamma, d, FairnessKind.BASELINE, 0.0, linear), GRID)
             for si in range(101):
                 s = si / 100
                 delta = fair(s, 1.0 - s) - plain(s, 1.0 - s)

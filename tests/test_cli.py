@@ -21,7 +21,7 @@ from transcend_ug import cli, config, sweep
 from transcend_ug.cli import run
 from transcend_ug.config import (
     PARAMS,
-    ConfigFileError,
+    ConfigError,
     RunConfig,
     dump_config,
     load_config,
@@ -50,37 +50,37 @@ class TestLoadConfig:
 
     # loading only reads a file; resolve checks it, naming the same config path
     def test_low_lambda_names_field(self):
-        with pytest.raises(ConfigFileError, match=r"payoff\.lambda"):
+        with pytest.raises(ConfigError, match=r"payoff\.lambda"):
             resolve(loads_config(MINIMAL + "\n[payoff]\nlambda = 0.5\n"))
 
     def test_gamma_out_of_range_names_field(self):
         bad = MINIMAL.replace("gamma = 0.5", "gamma = 1.2", 1)
-        with pytest.raises(ConfigFileError, match=r"agent\.allocator\.gamma"):
+        with pytest.raises(ConfigError, match=r"agent\.allocator\.gamma"):
             resolve(loads_config(bad))
 
     def test_unknown_key_rejected(self):
         # keys match exactly, as sections do, so a key in another case is unknown
         for key in ("grid_size", "GRID_STEP", "Grid_Step"):
-            with pytest.raises(ConfigFileError, match=rf"^unknown key game\.{key} in <config>$"):
+            with pytest.raises(ConfigError, match=rf"^unknown key game\.{key} in <config>$"):
                 loads_config(MINIMAL + f"\n[game]\n{key} = 0.1\n")
 
     def test_unknown_section_rejected(self):
-        with pytest.raises(ConfigFileError, match="unknown section"):
+        with pytest.raises(ConfigError, match="unknown section"):
             loads_config(MINIMAL + "\n[plotting]\ncolor = red\n")
 
     # configparser would otherwise read [DEFAULT] as keys for every section
     @pytest.mark.parametrize("text", ["[DEFAULT]\ngrid_step = 0.5\n", MINIMAL + "\n[DEFAULT]\ngamma = 0.3\n"],
                              ids=["alone", "beside-agent-sections"])
     def test_default_section_rejected(self, text):
-        with pytest.raises(ConfigFileError, match=r"unknown section \[DEFAULT\]"):
+        with pytest.raises(ConfigError, match=r"unknown section \[DEFAULT\]"):
             loads_config(text)
 
     def test_parse_error_carries_location(self):
-        with pytest.raises(ConfigFileError, match="parse error"):
+        with pytest.raises(ConfigError, match="parse error"):
             loads_config("gamma = 0.5\n")  # key outside any section
 
     def test_missing_file(self):
-        with pytest.raises(ConfigFileError, match="cannot read"):
+        with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/run.cfg")
 
     def test_linear_family_skips_lambda_check(self):
@@ -95,7 +95,7 @@ class TestLoadConfig:
          ("sweep", "d_max", "inf"), ("sweep", "split_step", "-inf")],
     )
     def test_non_finite_value_names_field(self, section, key, raw):
-        with pytest.raises(ConfigFileError, match=rf"{section}\.{key} must be finite"):
+        with pytest.raises(ConfigError, match=rf"{section}\.{key} must be finite"):
             resolve(loads_config(f"[{section}]\n{key} = {raw}\n"))
 
     def test_round_trip_is_identity(self):
@@ -421,6 +421,15 @@ class TestPlayCommand:
         assert "snapped" in err
         record = json.loads(out)
         assert record["payoff_recipient"] == pytest.approx(0.33)
+
+    # an offer exactly half a cell between two grid points goes to the even cell (round half to even)
+    @pytest.mark.parametrize("step, offer, snapped", [("0.5", "0.25", 0.0), ("0.5", "0.75", 1.0),
+                                                      ("0.25", "0.125", 0.0), ("0.25", "0.375", 0.5)])
+    def test_half_cell_offer_snaps_to_the_even_cell(self, step, offer, snapped, capsys):
+        assert run(["play", "--grid-step", step, "--offer", offer]) == 0
+        out, err = capsys.readouterr()
+        assert json.loads(out)["proposed_split"] == 1.0 - snapped
+        assert err == f"WARNING off-grid share {offer} snapped to {snapped:g}\n"
 
     @pytest.mark.parametrize("offer", ["nan", "1.5"])
     def test_offer_outside_unit_interval_exits_2(self, offer, capsys):

@@ -1,4 +1,5 @@
 import ast
+import builtins
 import math
 from pathlib import Path
 
@@ -12,7 +13,6 @@ from transcend_ug.game import (
     ConfigError,
     GameConfig,
     PlayerSpec,
-    SweepError,
     TieBreak,
     accepts_offer,
     argmax,
@@ -22,7 +22,7 @@ from transcend_ug.game import (
     play,
     scan,
 )
-from transcend_ug.identity import FairnessKind, FairnessMode
+from transcend_ug.identity import FairnessKind
 from transcend_ug.payoff import LensFamily, PayoffLens
 
 EXP8 = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
@@ -32,13 +32,13 @@ CFG = GameConfig()  # the default game, shared read-only
 
 
 def baseline(gamma, d, lens=DEFAULT_LENS):
-    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.BASELINE), lens)
+    return PlayerSpec(gamma, d, FairnessKind.BASELINE, 0.0, lens)
 
 def agent_tau(gamma, d, tau, lens=DEFAULT_LENS):
-    return PlayerSpec(gamma, d, FairnessMode.agent_tau(tau), lens)
+    return PlayerSpec(gamma, d, FairnessKind.AGENT_TAU, tau, lens)
 
 def association(gamma, d, lens=DEFAULT_LENS):
-    return PlayerSpec(gamma, d, FairnessMode(FairnessKind.ASSOCIATION), lens)
+    return PlayerSpec(gamma, d, FairnessKind.ASSOCIATION, 0.0, lens)
 
 
 def _refuses(call, *args, **kwargs) -> bool:
@@ -86,7 +86,6 @@ class TestGameConfig:
     @example(step=0.0001)
     @settings(deadline=None)
     def test_one_axis_rule_for_the_game_grid_and_the_sweep_axes(self, step):
-        assert issubclass(SweepError, ConfigError)
         refused = _refuses(GameConfig, grid_step=step)
         assert refused == _refuses(axis_points, 0.0, 1.0, step)
         if not refused:
@@ -248,7 +247,7 @@ class TestArgmax:
     def test_skips_blocks_that_cannot_win(self):
         cfg = GameConfig()
         calls = []
-        utility = compile_player(PlayerSpec(0.4, 1.0, FairnessMode.agent_tau(0.2), PayoffLens()), cfg)
+        utility = compile_player(PlayerSpec(0.4, 1.0, FairnessKind.AGENT_TAU, 0.2, PayoffLens()), cfg)
         full = scan(utility, cfg)
         assert argmax(counted(utility, calls), cfg) == (full.best, full.top)
         assert len(calls) < len(cfg.splits()) / 2  # 31 of 101
@@ -271,11 +270,8 @@ LENSES = st.one_of(
     st.just(PayoffLens(LensFamily.LINEAR)),
     st.builds(PayoffLens, st.just(LensFamily.EXP_VALUE), st.floats(1.01, 10.0), st.floats(0.1, 50.0)),
 )
-MODES = st.one_of(
-    st.just(FairnessMode(FairnessKind.BASELINE)),
-    st.builds(FairnessMode.agent_tau, st.floats(0.0, 1.0)),
-    st.just(FairnessMode(FairnessKind.ASSOCIATION)),
-)
+# (kind, tau): a tau is drawn in every kind, and only agent_tau consults it
+MODES = st.tuples(st.sampled_from(list(FairnessKind)), st.floats(0.0, 1.0))
 
 
 # No max_examples here, so that CI's --hypothesis-profile=ci can raise it.
@@ -295,7 +291,7 @@ MODES = st.one_of(
 )
 @settings(deadline=None)
 def test_pruned_argmax_equals_full_scan(gamma, d, mode, lens, cfg):
-    utility = compile_player(PlayerSpec(gamma, d, mode, lens), cfg)
+    utility = compile_player(PlayerSpec(gamma, d, *mode, lens), cfg)
     full = scan(utility, cfg)
     assert argmax(utility, cfg) == (full.best, full.top)
 
@@ -304,12 +300,13 @@ def test_pruned_argmax_equals_full_scan(gamma, d, mode, lens, cfg):
 @given(st.floats(0.0, 1.0), st.one_of(st.just(0.0), st.floats(0.0, 5.0)), MODES, LENSES, st.booleans(),
        st.floats(0.0, 1.0))
 def test_compiled_player_is_the_closed_form(gamma, d, mode, lens, own_tau_zero, own):
-    utility = compile_player(PlayerSpec(gamma, d, mode, lens), GameConfig(own_tau_zero=own_tau_zero))
-    if mode.kind is FairnessKind.BASELINE:
+    kind, fixed_tau = mode
+    utility = compile_player(PlayerSpec(gamma, d, kind, fixed_tau, lens), GameConfig(own_tau_zero=own_tau_zero))
+    if kind is FairnessKind.BASELINE:
         expected = oracle_baseline_utility(gamma, d, own)
     else:
-        tau = mode.tau if mode.kind is FairnessKind.AGENT_TAU else 1.0 - (1.0 if d == 0 else gamma ** d)
-        own_tau = 0.0 if own_tau_zero and mode.kind is FairnessKind.ASSOCIATION else None
+        tau = fixed_tau if kind is FairnessKind.AGENT_TAU else 1.0 - (1.0 if d == 0 else gamma ** d)
+        own_tau = 0.0 if own_tau_zero and kind is FairnessKind.ASSOCIATION else None
         expected = oracle_fair_utility(gamma, d, tau, lens.steepness, lens.loss_aversion, own, own_tau,
                                        linear=lens.family is LensFamily.LINEAR)
     assert utility(own, 1.0 - own) == expected
@@ -439,12 +436,7 @@ class TestPlay:
 )
 @settings(max_examples=60, deadline=None)
 def test_zero_sum_conservation(g1, d1, g2, d2, kind, tau):
-    mode = {
-        "baseline": FairnessMode(FairnessKind.BASELINE),
-        "agent_tau": FairnessMode.agent_tau(tau),
-        "association": FairnessMode(FairnessKind.ASSOCIATION),
-    }[kind]
-    recipient = PlayerSpec(g2, d2, mode, DEFAULT_LENS)
+    recipient = PlayerSpec(g2, d2, FairnessKind(kind), tau, DEFAULT_LENS)
     outcome = play(baseline(g1, d1), recipient, GameConfig(grid_step=0.02))
     if outcome.accepted:
         assert outcome.payoff_allocator + outcome.payoff_recipient == 1.0
@@ -477,13 +469,8 @@ def test_allocator_share_nondecreasing_in_distance_low_tau():
 )
 @settings(max_examples=60, deadline=None)
 def test_oracle_equivalence_on_sampled_configs(gamma, d, kind, tau, lam, k):
-    mode = {
-        "baseline": FairnessMode(FairnessKind.BASELINE),
-        "agent_tau": FairnessMode.agent_tau(tau),
-        "association": FairnessMode(FairnessKind.ASSOCIATION),
-    }[kind]
     lens = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)
-    player = PlayerSpec(gamma, d, mode, lens)
+    player = PlayerSpec(gamma, d, FairnessKind(kind), tau, lens)
     cfg = GameConfig(grid_step=0.02)
 
     if kind == "baseline":
@@ -521,13 +508,13 @@ def test_interior_argmax_matches_closed_form(gamma, frac, agent_tau_value, k, la
     if agent_tau_value is None:
         d = frac * math.log(2.0) / slope
         tau = 1.0 - gamma ** d
-        mode = FairnessMode(FairnessKind.ASSOCIATION)
+        kind = FairnessKind.ASSOCIATION
     else:
         tau = agent_tau_value
         d = frac * k * (1.0 - 2.0 * tau) / slope
-        mode = FairnessMode.agent_tau(tau)
+        kind = FairnessKind.AGENT_TAU
     assume(0.0 < tau < 0.5 and d < k * (1.0 - 2.0 * tau) / slope)
-    player = PlayerSpec(gamma, d, mode, PayoffLens(loss_aversion=lam, steepness=k))
+    player = PlayerSpec(gamma, d, kind, tau, PayoffLens(loss_aversion=lam, steepness=k))
     # The default 1e-9 tie window is wider than one step where k*(share - tau)
     # is large and the utility is that flat; ties here are float noise only.
     cfg = GameConfig(grid_step=0.0001, tie_break=tie_break, tolerance=1e-14)
@@ -562,6 +549,52 @@ def test_fairness_wins_past_the_rejection_distance(gamma, tau, closeness, k, lam
 
     assert accepts(d_rej - 1e-3)
     assert not accepts(d_rej + 1e-3)
+
+
+@given(
+    gamma=st.floats(0.05, 0.95),
+    cells=st.sampled_from([10, 20, 40, 50, 100, 200]),
+    tau_share=st.floats(0.0, 1.0),
+    k=st.floats(0.5, 16.0),
+    lam=st.floats(1.01, 5.0),
+)
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
+def test_allocator_leaves_the_equal_split_at_d_leave(gamma, cells, tau_share, k, lam):
+    # An agent_tau allocator with 0 <= tau <= 1/2 - h, on a grid of step h = 1/cells with
+    # cells even, finds u(1/2 + h) - u(1/2) of the sign of 1 - gamma**d * e^{kh}: it keeps
+    # the equal split below d_leave = kh/ln(1/gamma) and takes one cell more just above it
+    # (README "Model notes").
+    h = 1.0 / cells
+    tau = tau_share * (0.5 - h)
+    d_leave = k * h / math.log(1.0 / gamma)
+    cfg = GameConfig(grid_step=h, tolerance=1e-14)
+    lens = PayoffLens(loss_aversion=lam, steepness=k)
+
+    def proposed_cell(d):
+        return round(argmax(compile_player(agent_tau(gamma, d, tau, lens), cfg), cfg)[0] * cells)
+
+    assert proposed_cell(d_leave * (1.0 - 1e-3)) == cells // 2
+    assert proposed_cell(d_leave * (1.0 + 1e-3)) == cells // 2 + 1
+
+
+def test_config_error_is_the_only_exception_class():
+    # every refusal raises the one ConfigError, which cli.run turns into exit 2
+    bases = {}
+    for path in sorted(Path(transcend_ug.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [ast.unparse(base) for base in node.bases]
+
+    def is_exception(name):
+        builtin = getattr(builtins, name, None)
+        if isinstance(builtin, type):
+            return issubclass(builtin, BaseException)
+        if name not in bases:  # a class of another module, such as configparser.Error
+            return name.endswith(("Error", "Exception", "Warning"))
+        return any(map(is_exception, bases[name]))
+
+    assert [name for name in bases if is_exception(name)] == ["ConfigError"]
+    assert issubclass(transcend_ug.ConfigError, ValueError)
 
 
 def callers(name):

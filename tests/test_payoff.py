@@ -5,10 +5,9 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import oracle_f
 from transcend_ug.game import ConfigError, GameConfig, compile_player, play
-from transcend_ug.identity import FairnessKind, FairnessMode, IdentityError, PlayerSpec
+from transcend_ug.identity import FairnessKind, PlayerSpec
 from transcend_ug.payoff import (
     MAX_LOSS_AVERSION,
-    LensConfigError,
     LensFamily,
     PayoffLens,
     ug_kernel,
@@ -28,7 +27,7 @@ valid_lenses = st.builds(
 def compile_lens(lens):
     """The lens f of the disparity, through the one door: a player of weight exactly 0 (gamma 0 at d 1) and
     threshold 0, judging its own share delta."""
-    utility = compile_player(PlayerSpec(0.0, 1.0, FairnessMode.agent_tau(0.0), lens), GameConfig())
+    utility = compile_player(PlayerSpec(0.0, 1.0, FairnessKind.AGENT_TAU, 0.0, lens), GameConfig())
     return lambda delta: utility(delta, 1.0)
 
 
@@ -67,7 +66,7 @@ def test_gap_vanishes_at_origin():
     "lam,k", [(1.0, 8.0), (0.5, 8.0), (2.0, 0.0), (2.0, -1.0), (math.inf, 8.0), (2.0, math.inf), (1e308, 8.0)]
 )
 def test_invalid_exp_value_parameters_rejected_at_construction(lam, k):
-    with pytest.raises(LensConfigError):
+    with pytest.raises(ConfigError):
         PayoffLens(LensFamily.EXP_VALUE, loss_aversion=lam, steepness=k)
 
 
@@ -84,7 +83,7 @@ def test_linear_ignores_lambda_and_k():
 
 def test_nonfinite_delta_rejected():
     # the kernel does not check a disparity; the one share from outside the split grid, the offer, is refused
-    player = PlayerSpec(0.5, 1.0, FairnessMode.agent_tau(0.2), EXP)
+    player = PlayerSpec(0.5, 1.0, FairnessKind.AGENT_TAU, 0.2, EXP)
     with pytest.raises(ValueError, match=r"^offer must be a finite share"):
         play(player, player, GameConfig(), offer=math.inf)
 
@@ -113,30 +112,30 @@ OFFER_REFUSED = r"^offer must be a finite share in \[0,1\], got "
 @pytest.mark.parametrize("slot", ["own", "partner", "tau"])
 def test_fair_ug_utility_rejects_non_finite_input(lens, value, slot):
     # the kernel does not check its inputs, so the doors to a fair player must: tau enters
-    # through FairnessMode, and the one share from outside the split grid is play's offer
+    # through PlayerSpec, and the one share from outside the split grid is play's offer
     def fair(tau):
-        return PlayerSpec(0.5, 1.0, FairnessMode.agent_tau(tau), lens)
+        return PlayerSpec(0.5, 1.0, FairnessKind.AGENT_TAU, tau, lens)
 
     if slot == "tau":
-        with pytest.raises(IdentityError, match=r"^tau must lie in \[0,1\], got "):
+        with pytest.raises(ConfigError, match=r"^tau must lie in \[0,1\], got "):
             fair(value)
         return
     # the offer is the recipient's own share and the allocator's partner share
-    other = PlayerSpec(0.5, 1.0, FairnessMode(FairnessKind.BASELINE), lens)
+    other = PlayerSpec(0.5, 1.0, FairnessKind.BASELINE, 0.0, lens)
     allocator, recipient = (other, fair(0.2)) if slot == "own" else (fair(0.2), other)
     with pytest.raises(ConfigError, match=OFFER_REFUSED):
         play(allocator, recipient, GameConfig(), offer=value)
 
 
 @pytest.mark.parametrize("utility", [
-    lambda gamma, d: compile_player(PlayerSpec(gamma, d, FairnessMode.agent_tau(0.2), PayoffLens()), GameConfig()),
-    lambda gamma, d: compile_player(PlayerSpec(gamma, d, FairnessMode(FairnessKind.BASELINE), PayoffLens()),
+    lambda gamma, d: compile_player(PlayerSpec(gamma, d, FairnessKind.AGENT_TAU, 0.2, PayoffLens()), GameConfig()),
+    lambda gamma, d: compile_player(PlayerSpec(gamma, d, FairnessKind.BASELINE, 0.0, PayoffLens()),
                                     GameConfig()),
 ], ids=["fair", "baseline"])
 @pytest.mark.parametrize("gamma, d", [(g, 1.0) for g in (math.nan, -0.1, 1.5)] + [(0.5, d) for d in (math.nan, math.inf, -1.0)])
 def test_utility_rejects_gamma_or_distance_out_of_domain(utility, gamma, d):
     # a utility comes only from a player, so it answers no question a player could not ask
-    with pytest.raises(IdentityError):
+    with pytest.raises(ConfigError):
         utility(gamma, d)
 
 
@@ -144,7 +143,7 @@ def test_utility_rejects_gamma_or_distance_out_of_domain(utility, gamma, d):
 def test_baseline_ug_utility_rejects_non_finite_share(own, partner):
     # a recipient judges (offer, 1 - offer), so a non-finite share reaches it only as a non-finite offer
     offer = own if not math.isfinite(own) else 1.0 - partner
-    player = PlayerSpec(0.5, 1.0, FairnessMode(FairnessKind.BASELINE), PayoffLens())
+    player = PlayerSpec(0.5, 1.0, FairnessKind.BASELINE, 0.0, PayoffLens())
     with pytest.raises(ConfigError, match=OFFER_REFUSED):
         play(player, player, GameConfig(), offer=offer)
 

@@ -98,7 +98,7 @@ ALLOWED = [
     ("sweep", "_run_child", None, "runs only in a forked child, which the tracer does not report from"),
     ("sweep", "_child_result", "error = None", "the error tail: a child that raised or died"),
     ("sweep", "_usable_cpus", "except AttributeError:", "a platform without CPU affinity"),
-    ("sweep", "with_param", 'raise SweepError(f"unknown player parameter',
+    ("sweep", "with_param", 'raise ConfigError(f"unknown player parameter',
      "resolve passes only gamma, d and tau; the public function stays total"),
     ("cli", "run", "except Exception as exc:", "a runtime failure such as an unwritable output path exits 1"),
     ("cli", "main", None, "the console script's entry point; the corpus calls run in process"),
@@ -108,10 +108,8 @@ ALLOWED = [
      "pins the bytes the branch writes"),
     ("game", "GameConfig.__init__", "raise ConfigError(f\"accept_threshold must be finite",
      "resolve refuses a non-finite game.accept_threshold first"),
-    ("game", "axis_points", "raise SweepError(f\"axis bounds and step must be finite",
+    ("game", "axis_points", "raise ConfigError(f\"axis bounds and step must be finite",
      "resolve refuses non-finite sweep bounds and steps first"),
-    ("identity", "FairnessMode.__init__", "raise IdentityError(f\"tau must be None",
-     "resolve builds a baseline or association mode without a tau"),
     ("identity", "effective_tau", "return 0.0",
      "compile_player never asks a baseline player its threshold; the public function stays total"),
     ("payoff", "ValueObject", None,

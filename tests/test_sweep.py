@@ -20,12 +20,11 @@ from transcend_ug.game import (
     play,
     scan,
 )
-from transcend_ug.identity import FairnessKind, FairnessMode, association_tau
-from transcend_ug.payoff import LensFamily, PayoffLens
+from transcend_ug.identity import FairnessKind, association_tau
+from transcend_ug.payoff import ConfigError, LensFamily, PayoffLens
 from transcend_ug.sweep import (
     ENVELOPE_MAX,
     ENVELOPE_MIN,
-    SweepError,
     acceptance_matrix,
     game_grid,
     tau_curves,
@@ -37,8 +36,8 @@ LENS = PayoffLens()
 EXP8 = PayoffLens(LensFamily.EXP_VALUE, loss_aversion=2.0, steepness=8.0)
 
 
-def player(gamma=0.5, d=1.0, mode=None, lens=LENS):
-    return PlayerSpec(gamma, d, mode or FairnessMode(FairnessKind.BASELINE), lens)
+def player(gamma=0.5, d=1.0, kind=FairnessKind.BASELINE, tau=0.0, lens=LENS):
+    return PlayerSpec(gamma, d, kind, tau, lens)
 
 
 def refused(argv):
@@ -62,17 +61,17 @@ class TestAxisValues:
         assert len(axis_values(0.0, 2.4, 0.2)) == 13
 
     def test_bad_axes_rejected(self):
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError):
             axis_values(1.0, 0.0, 0.1)
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError):
             axis_values(0.0, 1.0, 0.0)
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError):
             axis_values(0.0, 1.0, 0.3)
 
     @pytest.mark.parametrize("lo, hi, step", [(0.0, 1e-10, 0.2), (0.0, 1.0, 1e10), (0.0, 0.3, 1.0)])
     def test_step_longer_than_its_span_rejected(self, lo, hi, step):
         # one point and no interval: the span cannot be divided by zero steps
-        with pytest.raises(SweepError, match=f"step {step} is longer than the span"):
+        with pytest.raises(ConfigError, match=f"step {step} is longer than the span"):
             axis_values(lo, hi, step)
 
     @pytest.mark.parametrize(
@@ -81,7 +80,7 @@ class TestAxisValues:
          (0.0, math.nan, 0.2), (0.0, 1.0, math.inf), (0.0, 1.0, math.nan)],
     )
     def test_non_finite_axis_rejected(self, lo, hi, step):
-        with pytest.raises(SweepError, match="finite"):
+        with pytest.raises(ConfigError, match="finite"):
             axis_values(lo, hi, step)
 
 
@@ -92,13 +91,13 @@ class TestWithParam:
         assert with_param(base, "d", 2.2).d == 2.2
 
     def test_tau_requires_agent_mode(self):
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError):
             with_param(player(), "tau", 0.4)
-        varied = with_param(player(mode=FairnessMode.agent_tau(0.2)), "tau", 0.4)
-        assert varied.mode.tau == 0.4
+        varied = with_param(player(kind=FairnessKind.AGENT_TAU, tau=0.2), "tau", 0.4)
+        assert varied.tau == 0.4
 
     def test_unknown_parameter(self):
-        with pytest.raises(SweepError):
+        with pytest.raises(ConfigError):
             with_param(player(), "steepness", 1.0)
 
 
@@ -113,7 +112,7 @@ class TestUtilityCurves:
         assert best == {0.2: 1.0, 0.5: 1.0, 0.8: 1.0, 1.0: 0.5}
 
     def test_half_tau_min_acceptable_marker_fixed(self):
-        base = player(0.5, 0.0, FairnessMode.agent_tau(0.5), EXP8)
+        base = player(0.5, 0.0, FairnessKind.AGENT_TAU, 0.5, EXP8)
         rows = table_rows(utility_curves(base, GameConfig(), "d", axis_values(0.0, 2.4, 0.2)))
         markers = {
             r["curve_value"]: r["split"]
@@ -139,7 +138,7 @@ class TestUtilityCurves:
             assert lo[r["split"]] <= r["utility"] <= hi[r["split"]]
 
     def test_best_marker_matches_fine_oracle(self):
-        base = player(0.4, 0.0, FairnessMode.agent_tau(0.2), EXP8)
+        base = player(0.4, 0.0, FairnessKind.AGENT_TAU, 0.2, EXP8)
         cfg = GameConfig(grid_step=0.02)
         rows = table_rows(utility_curves(base, cfg, "d", [0.0, 1.0, 2.4]))
         for d in (0.0, 1.0, 2.4):
@@ -169,18 +168,18 @@ class TestUtilityCurves:
 
 class TestAcceptanceMatrix:
     def test_moderate_tau_zero_distance_row(self):
-        base = player(0.4, 0.0, FairnessMode.agent_tau(0.5))
+        base = player(0.4, 0.0, FairnessKind.AGENT_TAU, 0.5)
         rows = table_rows(acceptance_matrix(base, GameConfig(), [0.0], axis_values(0.0, 1.0, 0.05)))
         accepted = [r["split"] for r in rows if r["accepted"]]
         assert accepted == [0.5]
 
     def test_association_zero_distance_accepts_everything(self):
-        base = player(0.4, 0.0, FairnessMode(FairnessKind.ASSOCIATION))
+        base = player(0.4, 0.0, FairnessKind.ASSOCIATION)
         rows = table_rows(acceptance_matrix(base, GameConfig(), [1e-9], axis_values(0.0, 1.0, 0.05)))
         assert all(r["accepted"] for r in rows)
 
     def test_rows_sorted_by_coordinates(self):
-        base = player(0.4, 0.0, FairnessMode.agent_tau(0.2))
+        base = player(0.4, 0.0, FairnessKind.AGENT_TAU, 0.2)
         rows = table_rows(acceptance_matrix(base, GameConfig(), [1.0, 0.0], [0.5, 0.0, 1.0]))
         coords = [(r["d"], r["split"]) for r in rows]
         assert coords == sorted(coords)
@@ -211,7 +210,7 @@ class TestAcceptanceMatrix:
 
         monkeypatch.setattr(sweep, "compile_player", counted_compile)
         ds = axis_values(0.0, 2.4, 0.2)
-        rows = table_rows(acceptance_matrix(player(0.4, 1.0, FairnessMode(FairnessKind.ASSOCIATION)), GameConfig(),
+        rows = table_rows(acceptance_matrix(player(0.4, 1.0, FairnessKind.ASSOCIATION), GameConfig(),
                                             ds, axis_values(0.0, 1.0, 0.05)))
         assert len(rows) == len(ds) * 21
         assert len(calls) == len(ds)
@@ -279,7 +278,7 @@ class TestGameGrid:
         assert all(r["proposed_split"] == 1.0 and r["accepted"] for r in rows)
 
     def test_demanding_recipient_rejects(self):
-        recipient = player(0.4, 1.0, FairnessMode.agent_tau(0.9))
+        recipient = player(0.4, 1.0, FairnessKind.AGENT_TAU, 0.9)
         rows = table_rows(game_grid(
             player(0.2, 1.0), recipient, GameConfig(),
             ("allocator.gamma", [0.2]),
@@ -327,8 +326,8 @@ class TestGameGrid:
     @pytest.mark.parametrize("name1, values1, name2, values2", GRIDS)
     def test_one_scan_per_cell(self, monkeypatch, name1, values1, name2, values2):
         """Every cell is one full game, whichever roles the axes vary."""
-        allocator = player(0.4, 1.0, FairnessMode.agent_tau(0.2), EXP8)
-        recipient = player(0.6, 0.5, FairnessMode(FairnessKind.ASSOCIATION))
+        allocator = player(0.4, 1.0, FairnessKind.AGENT_TAU, 0.2, EXP8)
+        recipient = player(0.6, 0.5, FairnessKind.ASSOCIATION)
         cfg = GameConfig(grid_step=0.02)
         # Scans in a forked child are not seen here, so play every row in this process.
         monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
@@ -355,8 +354,8 @@ class TestGameGrid:
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are played in forked children")
 class TestGameGridWorkers:
-    ALLOCATOR = player(0.4, 1.0, FairnessMode.agent_tau(0.2), EXP8)
-    RECIPIENT = player(0.6, 0.5, FairnessMode(FairnessKind.ASSOCIATION))
+    ALLOCATOR = player(0.4, 1.0, FairnessKind.AGENT_TAU, 0.2, EXP8)
+    RECIPIENT = player(0.6, 0.5, FairnessKind.ASSOCIATION)
     CFG = GameConfig(grid_step=0.02)
 
     def grid(self, monkeypatch, workers, axes=GRIDS[0]):
@@ -428,11 +427,8 @@ class TestGameGridWorkers:
         self.assert_no_child_left()
 
 
-MODES = st.one_of(
-    st.just(FairnessMode(FairnessKind.BASELINE)),
-    st.just(FairnessMode(FairnessKind.ASSOCIATION)),
-    st.floats(0.0, 1.0).map(FairnessMode.agent_tau),
-)
+# (kind, tau): a tau is drawn in every kind, and only agent_tau consults it
+MODES = st.tuples(st.sampled_from(list(FairnessKind)), st.floats(0.0, 1.0))
 SHARES = st.floats(0.0, 1.0)
 GRID_AXES = [f"{role}.{param}" for role in ("allocator", "recipient") for param in ("gamma", "d", "tau")]
 
@@ -451,8 +447,8 @@ GRID_AXES = [f"{role}.{param}" for role in ("allocator", "recipient") for param 
     offers=st.lists(SHARES, min_size=1, max_size=4),
 )
 @example(  # utility exactly 0 at share 1/2 meets threshold 0: the tolerance decides
-    alloc_mode=FairnessMode.agent_tau(0.5),
-    recip_mode=FairnessMode.agent_tau(0.5),
+    alloc_mode=(FairnessKind.AGENT_TAU, 0.5),
+    recip_mode=(FairnessKind.AGENT_TAU, 0.5),
     gammas=[0.5],
     ds=[0.0],
     taus=[0.5],
@@ -470,8 +466,8 @@ def test_sweeps_agree_with_engine(
     cfg = GameConfig(
         grid_step=0.02, accept_threshold=threshold, tie_break=tie_break, own_tau_zero=own_tau_zero
     )
-    allocator = PlayerSpec(0.4, 1.0, alloc_mode, EXP8)
-    recipient = PlayerSpec(0.6, 0.5, recip_mode, LENS)
+    allocator = PlayerSpec(0.4, 1.0, *alloc_mode, EXP8)
+    recipient = PlayerSpec(0.6, 0.5, *recip_mode, LENS)
 
     # utility curves over a custom split grid mark what the engine picks on that grid
     split_cfg = GameConfig(
@@ -500,9 +496,9 @@ def test_sweeps_agree_with_engine(
     specs = {"allocator": allocator, "recipient": recipient}
     for name in axes:
         role, _, param = name.partition(".")
-        if param == "tau" and specs[role].mode.kind is not FairnessKind.AGENT_TAU:
+        if param == "tau" and specs[role].kind is not FairnessKind.AGENT_TAU:
             spec = specs[role]
-            specs[role] = PlayerSpec(spec.gamma, spec.d, FairnessMode.agent_tau(0.5), spec.lens)
+            specs[role] = PlayerSpec(spec.gamma, spec.d, FairnessKind.AGENT_TAU, 0.5, spec.lens)
     values = {"gamma": gammas, "d": ds, "tau": taus}
     values1, values2 = (values[name.partition(".")[2]] for name in axes)
     cells = table_rows(game_grid(specs["allocator"], specs["recipient"], cfg, (axes[0], values1), (axes[1], values2)))
