@@ -1,6 +1,6 @@
 """Deterministic Ultimatum Game simulator for transcended agents with fairness thresholds."""
 
-from .game import GameConfig, Outcome, PlayerSpec, TieBreak, accepts_offer, argmax, compile_player, play, scan
+from .game import GameConfig, Outcome, PlayerSpec, TieBreak, accepts_offer, argmax, compile_player, play, scan, settle
 from .identity import FairnessKind, effective_tau
 from .payoff import ConfigError, LensFamily, PayoffLens
 
@@ -19,6 +19,7 @@ __all__ = [
     "effective_tau",
     "play",
     "scan",
+    "settle",
 ]
 
 __version__ = "0.1.0"

@@ -12,7 +12,6 @@ import math
 import sys
 from collections import namedtuple
 from functools import cached_property
-from operator import itemgetter
 
 from .identity import FairnessKind, PlayerSpec, effective_tau, weight
 from .payoff import ConfigError, Utility, ValueObject, ug_kernel
@@ -213,27 +212,35 @@ def argmax(utility: Utility, cfg: GameConfig) -> tuple[float, float]:
     window of the best utility so far. A skipped point can neither be the
     top nor tie with it, so the answer is exact.
     """
-    blocks = cfg.blocks()
-    bounded = sorted(zip(map(utility, blocks.bound_own, blocks.bound_partner), blocks.runs),
-                     key=itemgetter(0), reverse=True)
+    blocks, tol = cfg.blocks(), cfg.tolerance
+    bounds = list(map(utility, blocks.bound_own, blocks.bound_partner))
     evaluated: list[tuple[float, list[float], list[float]]] = []  # (block's top, shares, utilities)
     top = -math.inf
-    for bound, (shares, partners) in bounded:
-        if bound < top - cfg.tolerance - BOUND_SLACK:
+    # a stable sort, so tied bounds keep their block order
+    for i in sorted(range(len(bounds)), key=bounds.__getitem__, reverse=True):
+        if bounds[i] < top - tol - BOUND_SLACK:  # not pre-summed: tol + BOUND_SLACK rounds differently
             break
+        shares, partners = blocks.runs[i]
         utilities = list(map(utility, shares, partners))
         peak = max(utilities)
         evaluated.append((peak, shares, utilities))
-        top = max(top, peak)
+        if peak > top:
+            top = peak
     # a tie lies only in a block whose own top is within the tie window
-    cut = top - cfg.tolerance
+    cut = top - tol
     ties = [s for peak, shares, utilities in evaluated if peak >= cut for s, u in zip(shares, utilities) if u >= cut]
-    return _break_ties(ties, cfg), top
+    return (ties[0] if len(ties) == 1 else _break_ties(ties, cfg)), top
 
 
 def accepts_offer(utility: Utility, cfg: GameConfig, offered: float) -> bool:
     """Whether a recipient of this compiled utility accepts the offered share: the one response rule."""
     return cfg.clears(utility(offered, 1.0 - offered))
+
+
+def settle(allocator: Utility, recipient: Utility, cfg: GameConfig) -> tuple[float, bool]:
+    """``(proposal, accepted)`` of a game between compiled players: the allocator's best split and the answer to it."""
+    proposal = argmax(allocator, cfg)[0]
+    return proposal, accepts_offer(recipient, cfg, 1.0 - proposal)
 
 
 def check_offer(offer: float) -> float:
@@ -254,12 +261,12 @@ def play(
     u_alloc = compile_player(allocator, cfg)
     u_recip = compile_player(recipient, cfg)
     if offer is None:
-        proposal = argmax(u_alloc, cfg)[0]
+        proposal, accepted = settle(u_alloc, u_recip, cfg)
         offered = 1.0 - proposal
     else:
         offered = cfg.snap(check_offer(offer))
         proposal = 1.0 - offered
-    accepted = accepts_offer(u_recip, cfg, offered)
+        accepted = accepts_offer(u_recip, cfg, offered)
     if accepted:
         pay_alloc, pay_recip = proposal, offered
     else:

@@ -12,7 +12,7 @@ import marshal
 import os
 from collections.abc import Callable, Sequence
 
-from .game import ConfigError, GameConfig, accepts_offer, compile_player, play, scan
+from .game import ConfigError, GameConfig, accepts_offer, compile_player, scan, settle
 from .identity import FairnessKind, PlayerSpec, association_tau
 
 ENVELOPE_MIN = "envelope_min"
@@ -135,8 +135,9 @@ def game_grid(
     """Settled game per cell of two varied player parameters.
 
     Axis names take the form ``allocator.gamma`` or ``recipient.d``. Each
-    cell is one ``play`` of its pair, so a call costs one allocator
-    ``game.argmax`` per cell whichever parameters its axes vary. Each
+    cell compiles its two players and is one ``game.settle`` of them: one
+    allocator ``game.argmax`` and one recipient ``game.accepts_offer``,
+    whichever parameters its axes vary, and no realized utility. Each
     axis-1 value is one run, and every run shares one axis-2 column. The
     runs are split into one contiguous chunk per usable CPU, and every
     chunk but the first is played in a forked child, which sends back its
@@ -158,8 +159,9 @@ def game_grid(
         """Each start's proposed_split and accepted columns."""
         runs = []
         for a, r in chunk:
-            outcomes = [play(*apply(a, r, name2, v2), cfg) for v2 in values2]
-            runs.append(([o.proposed_split for o in outcomes], [int(o.accepted) for o in outcomes]))
+            cells = [apply(a, r, name2, v2) for v2 in values2]
+            settled = [settle(compile_player(alloc, cfg), compile_player(recip, cfg), cfg) for alloc, recip in cells]
+            runs.append(([proposal for proposal, _ in settled], [int(ok) for _, ok in settled]))
         return runs
 
     n = min(_usable_cpus(), len(starts)) if hasattr(os, "fork") else 1

@@ -431,6 +431,14 @@ class TestPlayCommand:
         assert json.loads(out)["proposed_split"] == 1.0 - snapped
         assert err == f"WARNING off-grid share {offer} snapped to {snapped:g}\n"
 
+    # an association recipient's threshold 1 - gamma^d moves with d, so one
+    # offer can be rejected, then accepted, then rejected again as d grows
+    @pytest.mark.parametrize("d, accepted", [("0.5", False), ("1.8", True), ("5", False)])
+    def test_association_acceptance_is_not_monotone_in_distance(self, d, accepted, capsys):
+        assert run(["play", "--offer", "0.96", "--recipient-mode", "association", "--recipient-gamma", "0.5",
+                    "--recipient-d", d, "--payoff-k", "5.96", "--payoff-lambda", "2.12"]) == 0
+        assert json.loads(capsys.readouterr().out)["accepted"] is accepted
+
     @pytest.mark.parametrize("offer", ["nan", "1.5"])
     def test_offer_outside_unit_interval_exits_2(self, offer, capsys):
         assert run(["play", "--offer", offer]) == 2

@@ -553,6 +553,40 @@ def test_fairness_wins_past_the_rejection_distance(gamma, tau, closeness, k, lam
 
 @given(
     gamma=st.floats(0.05, 0.95),
+    offer=st.floats(0.0, 1.0),
+    k=st.floats(0.5, 20.0),
+    lam=st.floats(1.01, 5.0),
+    own_tau_zero=st.booleans(),
+)
+@example(gamma=0.5, offer=0.96, k=5.96, lam=2.12, own_tau_zero=False)  # rejects, accepts, rejects (README)
+@settings(deadline=None)  # no max_examples, so that CI's --hypothesis-profile=ci can raise it
+def test_association_acceptance_flips_at_each_crossing(gamma, offer, k, lam, own_tau_zero):
+    # An association recipient's threshold 1 - gamma**d moves with d, so its
+    # utility of an offer can change sign more than once as d grows (README
+    # "Model notes"). Each crossing is found by sampling w = gamma**d in (0,1]
+    # and bisecting the closed form; 1e-3 on each side of it the engine must
+    # accept exactly where the closed form is >= 0.
+    def closed_form(d):
+        w = 1.0 if d == 0 else gamma ** d
+        return oracle_fair_utility(gamma, d, 1.0 - w, k, lam, offer, 0.0 if own_tau_zero else None)
+
+    cfg = GameConfig(tolerance=1e-14, own_tau_zero=own_tau_zero)
+    lens = PayoffLens(loss_aversion=lam, steepness=k)
+    ds = [math.log(i / 200) / math.log(gamma) for i in range(200, 0, -1)]
+    for lo, hi in zip(ds, ds[1:]):
+        if (closed_form(lo) >= 0.0) == (closed_form(hi) >= 0.0):
+            continue
+        for _ in range(60):
+            mid = (lo + hi) / 2.0
+            lo, hi = (mid, hi) if (closed_form(mid) >= 0.0) == (closed_form(lo) >= 0.0) else (lo, mid)
+        sides = [d for d in (lo - 1e-3, hi + 1e-3) if d >= 0.0 and abs(closed_form(d)) > 1e-12]
+        for d in sides:
+            utility = compile_player(association(gamma, d, lens), cfg)
+            assert accepts_offer(utility, cfg, offer) == (closed_form(d) >= 0.0)
+
+
+@given(
+    gamma=st.floats(0.05, 0.95),
     cells=st.sampled_from([10, 20, 40, 50, 100, 200]),
     tau_share=st.floats(0.0, 1.0),
     k=st.floats(0.5, 16.0),

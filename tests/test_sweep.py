@@ -6,7 +6,7 @@ import os
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import brute_force_scan, oracle_fair_utility, rows as table_rows
+from conftest import brute_force_scan, oracle_baseline_utility, oracle_fair_utility, rows as table_rows
 from transcend_ug import game, sweep
 from transcend_ug.cli import run
 from transcend_ug.game import (
@@ -19,6 +19,7 @@ from transcend_ug.game import (
     compile_player,
     play,
     scan,
+    settle,
 )
 from transcend_ug.identity import FairnessKind, association_tau
 from transcend_ug.payoff import ConfigError, LensFamily, PayoffLens
@@ -351,6 +352,19 @@ class TestGameGrid:
             assert row["proposed_split"] == outcome.proposed_split
             assert row["accepted"] == int(outcome.accepted)
 
+    def test_a_grid_cell_builds_no_outcome(self, monkeypatch):
+        """A cell is settled, not played: it builds no game record."""
+        def no_outcome(*args, **kwargs):
+            raise AssertionError("a grid cell built an Outcome")
+
+        monkeypatch.setattr(sweep, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(game, "Outcome", no_outcome)
+        name1, values1, name2, values2 = GRIDS[0]
+        rows = table_rows(game_grid(player(0.4, 1.0, FairnessKind.AGENT_TAU, 0.2, EXP8),
+                                    player(0.6, 0.5, FairnessKind.ASSOCIATION), GameConfig(grid_step=0.02),
+                                    (name1, values1), (name2, values2)))
+        assert len(rows) == len(values1) * len(values2)
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="rows are played in forked children")
 class TestGameGridWorkers:
@@ -390,12 +404,12 @@ class TestGameGridWorkers:
     def test_interrupt_here_kills_and_reaps_children(self, monkeypatch):
         parent = os.getpid()
 
-        def play_or_interrupt(*args, **kwargs):
+        def settle_or_interrupt(*args, **kwargs):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return play(*args, **kwargs)
+            return settle(*args, **kwargs)
 
-        monkeypatch.setattr(sweep, "play", play_or_interrupt)
+        monkeypatch.setattr(sweep, "settle", settle_or_interrupt)
         with pytest.raises(KeyboardInterrupt):
             self.grid(monkeypatch, 2)
         self.assert_no_child_left()
@@ -403,12 +417,12 @@ class TestGameGridWorkers:
     def test_child_error_reaches_caller(self, monkeypatch):
         parent = os.getpid()
 
-        def play_or_fail(*args, **kwargs):
+        def settle_or_fail(*args, **kwargs):
             if os.getpid() != parent:
                 raise ArithmeticError("cell failed in a child")
-            return play(*args, **kwargs)
+            return settle(*args, **kwargs)
 
-        monkeypatch.setattr(sweep, "play", play_or_fail)
+        monkeypatch.setattr(sweep, "settle", settle_or_fail)
         with pytest.raises(ArithmeticError, match="cell failed in a child"):
             self.grid(monkeypatch, 2)
         self.assert_no_child_left()
@@ -416,12 +430,12 @@ class TestGameGridWorkers:
     def test_child_that_dies_is_not_success(self, monkeypatch):
         parent = os.getpid()
 
-        def play_or_die(*args, **kwargs):
+        def settle_or_die(*args, **kwargs):
             if os.getpid() != parent:
                 os._exit(0)
-            return play(*args, **kwargs)
+            return settle(*args, **kwargs)
 
-        monkeypatch.setattr(sweep, "play", play_or_die)
+        monkeypatch.setattr(sweep, "settle", settle_or_die)
         with pytest.raises(RuntimeError, match="exited with status 0 and no result"):
             self.grid(monkeypatch, 2)
         self.assert_no_child_left()
@@ -511,3 +525,21 @@ def test_sweeps_agree_with_engine(
         outcome = play(players["allocator"], players["recipient"], cfg)
         assert cell["proposed_split"] == outcome.proposed_split
         assert cell["accepted"] == int(outcome.accepted)
+        # and against models that share no code with game.settle: the full
+        # scan, and the closed-form utility of the recipient at its offer
+        assert cell["proposed_split"] == scan(compile_player(players["allocator"], cfg), cfg).best
+        offered = 1.0 - cell["proposed_split"]
+        assert cell["accepted"] == int(cfg.clears(oracle_utility(players["recipient"], cfg, offered)))
+
+
+def oracle_utility(spec: PlayerSpec, cfg: GameConfig, own: float) -> float:
+    """A player's utility of keeping ``own``, from the closed forms of conftest."""
+    if spec.kind is FairnessKind.BASELINE:
+        return oracle_baseline_utility(spec.gamma, spec.d, own)
+    if spec.kind is FairnessKind.AGENT_TAU:
+        tau, own_tau = spec.tau, None
+    else:
+        tau = 1.0 - (1.0 if spec.d == 0 else spec.gamma ** spec.d)
+        own_tau = 0.0 if cfg.own_tau_zero else None
+    return oracle_fair_utility(spec.gamma, spec.d, tau, spec.lens.steepness, spec.lens.loss_aversion, own, own_tau,
+                               linear=spec.lens.family is LensFamily.LINEAR)
